@@ -12,6 +12,7 @@ from __future__ import annotations
 import argparse
 import dataclasses
 import json
+import math
 import sys
 from pathlib import Path
 
@@ -71,12 +72,15 @@ def load_config(path: str | None) -> tuple[ModelParams, SenderDist, OptimizerOpt
     return p, d, opts
 
 
-def _parse_shape(text: str) -> tuple[int, int]:
+def _parse_shape(text: str) -> tuple[float, float]:
     try:
-        alpha, beta = (int(t) for t in text.split(","))
+        shape = tuple(float(t) for t in text.split(","))
     except ValueError as exc:
         raise ConfigError(f"--dist expects 'alpha,beta', got {text!r}") from exc
-    return alpha, beta
+    if len(shape) != 2 or not all(math.isfinite(v) for v in shape):
+        raise ConfigError(f"--dist expects 'alpha,beta', got {text!r}")
+    # Whole shapes stay ints, so tables print them as the full sweeps do.
+    return tuple(int(v) if v.is_integer() else v for v in shape)
 
 
 def _dump_json(payload: dict, out: str | None) -> None:

@@ -7,9 +7,12 @@ diagonal when the grid optimum lies there (the usual case), otherwise
 Nelder-Mead with reflection back into the triangle. Everything is
 deterministic; rerunning a configuration reproduces the result bitwise.
 
-Grid-stage bookkeeping exploits two structural facts: the pooling-tail
-integrals depend on z_h only (cached per column), and for a fixed z_l the
-separating integral is cumulative in z_h (accumulated along each row).
+The grid stage works one row z_l at a time, in batches. The pooling-tail
+integrals depend on z_h only (cached per column). The separating integral is
+cumulative in z_h: one K15 panel per cell, all cells of the row in one
+``sigma_many`` call, summed along the row (cells whose error estimate misses
+the target fall back to adaptive quadrature). The row's pooled actions come
+from one array root solve.
 """
 
 from __future__ import annotations
@@ -22,7 +25,7 @@ import numpy as np
 from . import surplus as sp
 from . import thresholds as th
 from .distributions import EFFECTIVE_ZERO, SenderDist
-from .errors import ConfigError
+from .errors import ConfigError, ConvergenceError
 from .model import ModelParams
 from .separating import SeparatingPath
 
@@ -63,6 +66,7 @@ class _GridSweep:
         self.grid = np.linspace(0.0, d.zbar, n)
         self.values = np.full((n, n), np.nan)
         self.n_evals = 0
+        self.n_fallback = 0
         # Column data: tail integrals depend on z_h alone.
         self.ez = np.empty(n)
         self.pm_q = np.empty(n)
@@ -78,36 +82,29 @@ class _GridSweep:
 
     def run(self) -> None:
         p, d, n, grid = self.p, self.d, self.n, self.grid
-        for i in range(n):
-            z_l = grid[i]
-            if i == n - 1:
-                self.values[i, i] = 0.0  # empty market corner
-                self.n_evals += 1
-                break
-            s_star, _ = th.pooling_star(p, d, z_l)
-            self.values[i, i] = sp.pool_part(
-                p, d, z_l, s_star, self.pm_q[i], self.pm_inv[i], self.ez[i]
+        for i in range(n - 1):
+            path = SeparatingPath(p, grid[i], d.zbar)
+            # Actions at the row's knots z_l = grid[i] < grid[i+1] < ... < zbar.
+            sig_knots = np.concatenate(([path.s_l], path.sigma_many(grid[i + 1:])))
+            cells, fallback = sp.sep_cells(p, d, path, grid[i:], sig_knots)
+            self.n_fallback += fallback
+            cum = np.cumsum(cells)
+            # Pooling parts along the row: the diagonal pools at s*(z_l), the
+            # interior columns at s_h(z_h); the z_h = zbar column has none.
+            s_star, _ = th.pooling_star(p, d, grid[i])
+            s_h = th.pooled_action_many(
+                p, sig_knots[1:-1], grid[i + 1:-1], self.ez[i + 1:-1]
             )
-            path = SeparatingPath(p, z_l, d.zbar)
-            sigs = path.sigma_many(grid[i + 1:])
-            # Known actions at the row's grid knots seed the inversion at the
-            # quadrature nodes in between.
-            knots = np.concatenate(([z_l], grid[i + 1:]))
-            sig_knots = np.concatenate(([path.s_l], sigs))
-            seed_fn = lambda z: np.interp(z, knots, sig_knots)  # noqa: E731
-            cum = 0.0
-            for j in range(i + 1, n):
-                cum += sp.sep_part(p, d, path, grid[j - 1], grid[j], seed_fn=seed_fn)
-                if j == n - 1:
-                    self.values[i, j] = cum
-                else:
-                    s_h = th.pooled_action(
-                        p, d, path, grid[j], sigma=sigs[j - i - 1], ez=self.ez[j]
-                    )
-                    self.values[i, j] = cum + sp.pool_part(
-                        p, d, grid[j], s_h, self.pm_q[j], self.pm_inv[j], self.ez[j]
-                    )
+            pool = sp.pool_part(
+                p, d, grid[i:-1], np.concatenate(([s_star], s_h)),
+                self.pm_q[i:-1], self.pm_inv[i:-1], self.ez[i:-1],
+            )
+            self.values[i, i] = pool[0]
+            self.values[i, i + 1:-1] = cum[:-1] + pool[1:]
+            self.values[i, -1] = cum[-1]
             self.n_evals += n - i
+        self.values[-1, -1] = 0.0  # empty market corner
+        self.n_evals += 1
 
     def best(self) -> tuple[int, int, float, bool, bool]:
         """Best cell under the tie rule: value, then larger z_h, then smaller z_l."""
@@ -283,12 +280,13 @@ def optimize(
         "refine_method": method,
         "refine_evals": refine_evals,
         "n_grid_evals": sweep.n_evals,
+        "grid_fallback_cells": sweep.n_fallback,
         "tie_break_applied": tie_break,
         "flat_objective": flat,
         "certificate": float(breakdown.total - g_val),
     }
     if breakdown.total < g_val - _CERT_TOL:
-        raise ConfigError(
+        raise ConvergenceError(
             f"refined optimum {breakdown.total} fell below the grid value {g_val}"
         )
     return DelegationOutcome(

@@ -20,6 +20,7 @@ ABS_TOL = 1e-12
 MAX_DEPTH = 60
 # Generous global cap; smooth integrands here need a handful of intervals.
 MAX_INTERVALS = 4096
+_TINY = np.finfo(float).tiny
 
 # Kronrod-15 abscissae on [-1, 1] and weights, with the embedded Gauss-7 rule
 # on the odd-indexed nodes.
@@ -46,19 +47,37 @@ _WG = np.array([
 ])
 
 
+def kronrod_nodes(a, b):
+    """K15 nodes of the panels [a, b] and their half-widths.
+
+    ``a`` and ``b`` are scalars or equal-length arrays of panel ends; the
+    nodes run along the first axis, one column per panel.
+    """
+    half = 0.5 * (b - a)
+    return np.multiply.outer(_XK, half) + 0.5 * (a + b), half
+
+
+def kronrod_estimate(fx: np.ndarray, half):
+    """K15 values and G7-based error estimates of panels.
+
+    ``fx`` holds the integrand at the ``kronrod_nodes`` of each panel along
+    its first axis; ``half`` holds the matching half-widths.
+    """
+    ik = half * np.dot(_WK, fx)
+    ig = half * np.dot(_WG, fx[1::2])
+    # Standard QUADPACK-style sharpened error estimate
+    # resasc * min(1, (200 err / resasc)^1.5), written so that resasc = 0
+    # (an integrand constant to the last bit) needs no division by zero.
+    resasc = half * np.dot(_WK, abs(fx - ik / (2.0 * half)))
+    err = abs(ik - ig)
+    return ik, np.minimum(resasc, (200.0 * err) ** 1.5 / (resasc + _TINY) ** 0.5)
+
+
 def _kronrod_panel(f, a: float, b: float) -> tuple[float, float]:
     """Return (integral, error estimate) for one K15/G7 panel on [a, b]."""
-    half = 0.5 * (b - a)
-    mid = 0.5 * (a + b)
-    fx = np.asarray(f(mid + half * _XK), dtype=float)
-    ik = half * float(np.dot(_WK, fx))
-    ig = half * float(np.dot(_WG, fx[1::2]))
-    # Standard QUADPACK-style sharpened error estimate.
-    resasc = half * float(np.dot(_WK, np.abs(fx - ik / (b - a))))
-    err = abs(ik - ig)
-    if resasc != 0.0 and err != 0.0:
-        err = resasc * min(1.0, (200.0 * err / resasc) ** 1.5)
-    return ik, err
+    z, half = kronrod_nodes(a, b)
+    ik, err = kronrod_estimate(np.asarray(f(z), dtype=float), half)
+    return float(ik), float(err)
 
 
 def integrate(

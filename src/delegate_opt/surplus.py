@@ -21,7 +21,7 @@ from . import thresholds
 from .distributions import EFFECTIVE_ZERO, SenderDist
 from .errors import DomainError
 from .model import ModelParams
-from .quadrature import integrate
+from .quadrature import ABS_TOL, integrate, kronrod_estimate, kronrod_nodes
 from .separating import SeparatingPath
 
 _REL_TOL = 1e-8
@@ -38,6 +38,19 @@ class SurplusBreakdown:
     z_h: float
 
 
+def _net_density(
+    p: ModelParams, d: SenderDist, z: np.ndarray, sig: np.ndarray
+) -> np.ndarray:
+    """Net surplus density (A k z^(q+1) sigma^a - beta sigma^2 / z) g(z)."""
+    with np.errstate(invalid="ignore"):
+        net = (
+            p.A * p.k * np.power(z, p.q + 1.0) * np.power(sig, p.a)
+            - p.beta_cost * sig**2 / z
+        )
+    # z = 0 can only occur with sigma = 0, where the density is 0 too.
+    return np.where(z == 0.0, 0.0, net) * d.pdf(z)
+
+
 def sep_part(
     p: ModelParams,
     d: SenderDist,
@@ -45,48 +58,64 @@ def sep_part(
     z_lo: float,
     z_hi: float,
     rel_tol: float = _REL_TOL,
-    seed_fn=None,
 ) -> float:
-    """Net surplus density integrated over a slice of the separating region.
+    """Net surplus density integrated over a slice of the separating region."""
+    return integrate(
+        lambda z: _net_density(p, d, z, path.sigma_many(z)), z_lo, z_hi, rel_tol=rel_tol
+    )
 
-    ``seed_fn(z_nodes)`` may supply starting actions for the inversion at the
-    quadrature nodes (sweeps interpolate from already-solved neighbours).
+
+def sep_cells(
+    p: ModelParams,
+    d: SenderDist,
+    path: SeparatingPath,
+    edges: np.ndarray,
+    sig_edges: np.ndarray,
+) -> tuple[np.ndarray, int]:
+    """Separating part over every cell (edges[k], edges[k+1]] in one batch.
+
+    ``sig_edges`` holds sigma at the edges; interpolating it seeds the
+    inversion at the cells' Kronrod nodes, so the whole batch is one
+    ``sigma_many`` call. A cell whose K15/G7 error estimate misses
+    ``sep_part``'s target (endpoint-singular densities) is integrated again
+    adaptively. Returns the cell values and the number of such fallback cells.
     """
 
-    def integrand(z: np.ndarray) -> np.ndarray:
-        sig = path.sigma_many(z, seed=None if seed_fn is None else seed_fn(z))
-        with np.errstate(invalid="ignore"):
-            net = (
-                p.A * p.k * np.power(z, p.q + 1.0) * np.power(sig, p.a)
-                - p.beta_cost * sig**2 / z
-            )
-        # z = 0 can only occur with sigma = 0, where the density is 0 too.
-        return np.where(z == 0.0, 0.0, net) * d.pdf(z)
+    def density(z: np.ndarray) -> np.ndarray:
+        sig = path.sigma_many(z, seed=np.interp(z, edges, sig_edges))
+        return _net_density(p, d, z, sig)
 
-    return integrate(integrand, z_lo, z_hi, rel_tol=rel_tol)
+    lo, hi = edges[:-1], edges[1:]
+    z, half = kronrod_nodes(lo, hi)
+    vals, errs = kronrod_estimate(density(z), half)
+    missed = np.flatnonzero(errs > np.maximum(ABS_TOL, _REL_TOL * np.abs(vals)))
+    for k in missed:
+        vals[k] = integrate(density, lo[k], hi[k], rel_tol=_REL_TOL)
+    return vals, len(missed)
 
 
 def pool_part(
     p: ModelParams,
     d: SenderDist,
-    z_h: float,
-    s_h: float,
-    pm_q: float | None = None,
-    pm_inv: float | None = None,
-    ez: float | None = None,
-) -> float:
+    z_h: float | np.ndarray,
+    s_h: float | np.ndarray,
+    pm_q: float | np.ndarray | None = None,
+    pm_inv: float | np.ndarray | None = None,
+    ez: float | np.ndarray | None = None,
+) -> float | np.ndarray:
     """Net surplus of the pooled tail, given the pooled action s_h.
 
     The 1/z integral is cut at EFFECTIVE_ZERO; with s_h = 0 the cost term is
     identically zero, which covers the degenerate pooling-at-zero case where
-    the raw integral would diverge.
+    the raw integral would diverge. Array-valued when z_h, s_h and the three
+    tail integrals are passed as arrays, with every z_h below the top guard.
     """
-    if z_h >= d.zbar - _TOP_GUARD:
+    if np.ndim(z_h) == 0 and z_h >= d.zbar - _TOP_GUARD:
         return 0.0
     ez = d.trunc_mean(z_h) if ez is None else ez
     pm_q = d.partial_moment(z_h, p.q) if pm_q is None else pm_q
     gross = p.A * p.k * s_h**p.a * ez * pm_q
-    if s_h == 0.0:
+    if np.ndim(s_h) == 0 and s_h == 0.0:
         return gross
     if pm_inv is None:
         pm_inv = d.partial_moment(max(z_h, EFFECTIVE_ZERO), -1.0)

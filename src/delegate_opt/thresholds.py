@@ -11,11 +11,17 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
+import numpy as np
 from scipy.optimize import brentq
 
 from . import model
 from .distributions import EFFECTIVE_ZERO, SenderDist
-from .errors import ConvergenceError, DomainError, InconsistencyError
+from .errors import (
+    ConvergenceError,
+    DegenerateTailError,
+    DomainError,
+    InconsistencyError,
+)
 from .model import ModelParams
 from .separating import SeparatingPath, s_lower
 
@@ -86,29 +92,34 @@ def invert_floor(p: ModelParams, d: SenderDist, t_l: float) -> float:
     )
 
 
+def _top_rhs(p: ModelParams, sig, z_h):
+    """The top indifference equation's right side: net value of sigma(z_h)."""
+    return p.A * p.k * sig**p.a * z_h ** (1.0 + p.q) - p.beta_cost * sig**2 / z_h
+
+
+def _no_crossing(z_h) -> DegenerateTailError:
+    return DegenerateTailError(
+        f"top indifference residual not positive just above sigma(z_h) at "
+        f"z_h={z_h}: the tail beyond it is too thin to pool"
+    )
+
+
 def pooled_action(
-    p: ModelParams,
-    d: SenderDist,
-    path: SeparatingPath,
-    z_h: float,
-    sigma: float | None = None,
-    ez: float | None = None,
+    p: ModelParams, d: SenderDist, path: SeparatingPath, z_h: float
 ) -> float:
     """Pooled action s_h: the larger root of the top indifference equation.
 
     The residual A k s^a z_h^q E[z|z>=z_h] - beta s^2/z_h - (same at sigma(z_h)
     with E replaced by z_h) is positive at sigma(z_h) and eventually negative,
-    so doubling the upper end always brackets the larger root. ``sigma`` and
-    ``ez`` take precomputed sigma(z_h) and E[z|z>=z_h] so sweeps can batch them.
+    so doubling the upper end always brackets the larger root. Where rounding
+    in a degenerate tail leaves it non-positive at sigma(z_h), no bracket
+    exists and DegenerateTailError is raised.
     """
     if not path.z_l < z_h < d.zbar - _TOP_GUARD:
         raise DomainError(f"z_h={z_h} outside (z_l={path.z_l}, zbar-1e-9)")
-    sig = path.sigma_tilde(z_h) if sigma is None else sigma
-    ez = d.trunc_mean(z_h) if ez is None else ez
-    rhs = (
-        p.A * p.k * sig**p.a * z_h ** (1.0 + p.q)
-        - p.beta_cost * sig**2 / z_h
-    )
+    sig = path.sigma_tilde(z_h)
+    ez = d.trunc_mean(z_h)
+    rhs = _top_rhs(p, sig, z_h)
 
     def resid(s: float) -> float:
         return (
@@ -123,7 +134,54 @@ def pooled_action(
         hi *= 2.0
     else:
         raise ConvergenceError(f"no upper bracket for the pooled action at z_h={z_h}")
-    return brentq(resid, lo, hi, xtol=1e-14, rtol=1e-12)
+    try:
+        return brentq(resid, lo, hi, xtol=1e-14, rtol=1e-12)
+    except ValueError as exc:  # resid(lo) has the sign of resid(hi)
+        raise _no_crossing(z_h) from exc
+
+
+def pooled_action_many(
+    p: ModelParams, sig: np.ndarray, z_h: np.ndarray, ez: np.ndarray
+) -> np.ndarray:
+    """``pooled_action`` at many z_h at once, given sigma(z_h) and E[z|z>=z_h].
+
+    The residual is concave in s, so Newton started right of the larger root
+    decreases monotonically onto it; (c1/c2)^(1/(2-a)) is such a start
+    wherever rhs >= 0, and doubling covers the rest. A bisection guard keeps
+    every step inside the bracket, and the stop test is ``pooled_action``'s
+    root tolerance. Every z_h must lie strictly inside (z_l, zbar - 1e-9).
+    """
+    # pooled_action's residual, written as c1 s^a - c2 s^2 - rhs.
+    c1 = p.A * p.k * z_h**p.q * ez
+    c2 = p.beta_cost / z_h
+    rhs = _top_rhs(p, sig, z_h)
+
+    def resid(s: np.ndarray) -> np.ndarray:
+        return c1 * s**p.a - c2 * s**2 - rhs
+
+    lo = sig * (1.0 + 1e-10)
+    bad = ~(resid(lo) >= 0.0)
+    if np.any(bad):
+        raise _no_crossing(z_h[bad][0])
+    hi = np.maximum((c1 / c2) ** (1.0 / (2.0 - p.a)), np.maximum(2.0 * sig, 1e-12))
+    for _ in range(200):
+        up = resid(hi) >= 0.0
+        if not np.any(up):
+            break
+        hi = np.where(up, 2.0 * hi, hi)
+    else:
+        raise ConvergenceError("no upper bracket for the pooled actions")
+    s = hi
+    for _ in range(100):
+        r = resid(s)
+        lo = np.where(r > 0.0, s, lo)
+        hi = np.where(r < 0.0, s, hi)
+        s_new = s - r / (p.a * c1 * s ** (p.a - 1.0) - 2.0 * c2 * s)
+        s_new = np.where((s_new < lo) | (s_new > hi), 0.5 * (lo + hi), s_new)
+        if np.all(np.abs(s_new - s) <= 1e-14 + 1e-12 * s_new):
+            return s_new
+        s = s_new
+    raise ConvergenceError("pooled-action Newton iteration did not converge")
 
 
 def solve_top(

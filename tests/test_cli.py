@@ -38,6 +38,19 @@ class TestSolve:
         assert rec["z_l"] == 0.0
         assert abs(rec["z_h"] - 1.75) < 1e-3
 
+    def test_thin_tail_is_numerical_failure(self, tmp_path, capsys):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({
+            "a": 0.5760575361358824, "q": 1.2320116553073412,
+            "k": 0.9440934866642177,
+            "dist": {"alpha": 1, "beta": 1, "zbar": 2.528501293910416},
+        }))
+        assert run_cli(
+            "solve", "--config", str(cfg),
+            "--t-low", "0.32133047412726606", "--t-high", "4.609555916589276",
+        ) == 2
+        assert "numerical failure" in capsys.readouterr().err
+
     def test_inverted_interval_rejected(self):
         assert run_cli("solve", "--t-low", "2", "--t-high", "1") == 1
 
@@ -95,6 +108,18 @@ class TestDesignVerifyPaths:
         ) == 0
         names = sorted(f.name for f in tmp_path.iterdir())
         assert names == ["design2_beta1_1_t_h.csv", "design2_beta1_1_z_h.csv"]
+
+    def test_fractional_dist_shape(self, tmp_path):
+        assert run_cli(
+            "design", "--design", "2", "--dist", "0.5,2", "--out", str(tmp_path)
+        ) == 0
+        rows = (tmp_path / "design2_beta0.5_2.csv").read_text().splitlines()
+        assert len(rows) == 12
+        assert rows[1].startswith("2,0.500000,2,")
+
+    @pytest.mark.parametrize("shape", ["1,2,3", "inf,1"])
+    def test_malformed_dist_shape(self, tmp_path, shape):
+        assert run_cli("paths", "--design", "2", "--dist", shape, "--out", str(tmp_path)) == 1
 
     def test_bad_dist_argument(self, tmp_path):
         assert run_cli("paths", "--design", "2", "--dist", "x", "--out", str(tmp_path)) == 1

@@ -1,12 +1,19 @@
 from __future__ import annotations
 
+import dataclasses
+
 import numpy as np
 import pytest
 
-from delegate_opt import ModelParams, SenderDist, optimize, pi_s
-from delegate_opt.errors import ConfigError
+from delegate_opt import ModelParams, SenderDist, SeparatingPath, optimize, pi_s
+from delegate_opt import surplus as sp
+from delegate_opt.cli import main
+from delegate_opt.errors import ConfigError, ConvergenceError
 from delegate_opt.optimizer import OptimizerOptions, _GridSweep
+from delegate_opt.surplus import sep_cells, sep_part
 from delegate_opt.thresholds import POOLING, STRICTLY_WELL_BEHAVED
+
+from conftest import BASELINE_SHAPES
 
 
 class TestBaselineOptimum:
@@ -63,6 +70,50 @@ class TestCertificates:
         out = optimize(baseline, uniform3)
         assert out.diagnostics["certificate"] >= -1e-8
         assert out.diagnostics["n_grid_evals"] == 61 * 62 // 2
+
+    def test_certificate_failure_is_numerical(self, baseline, uniform3, monkeypatch):
+        # A refined value below the grid value is a numerical failure (exit 2).
+        exact = sp.pi_w
+
+        def low(*args, **kwargs):
+            b = exact(*args, **kwargs)
+            return dataclasses.replace(b, total=b.total - 1e-3)
+
+        monkeypatch.setattr(sp, "pi_w", low)
+        with pytest.raises(ConvergenceError):
+            optimize(baseline, uniform3, OptimizerOptions(grid=13))
+        assert main(["optimize"]) == 2
+
+
+class TestGridBatch:
+    @staticmethod
+    def row(p, d, i, n=61):
+        """Batched and per-cell separating parts of grid row i."""
+        grid = np.linspace(0.0, d.zbar, n)
+        path = SeparatingPath(p, grid[i], d.zbar)
+        sig_knots = np.concatenate(([path.s_l], path.sigma_many(grid[i + 1:])))
+        cells, fallback = sep_cells(p, d, path, grid[i:], sig_knots)
+        want = [sep_part(p, d, path, grid[j - 1], grid[j]) for j in range(i + 1, n)]
+        return cells, np.array(want), fallback
+
+    @pytest.mark.parametrize("shape", BASELINE_SHAPES)
+    def test_rows_match_per_cell_sep_part(self, baseline, shape):
+        d = SenderDist(*shape, 3)
+        for i in (0, 12, 40, 59):
+            cells, want, _ = self.row(baseline, d, i)
+            np.testing.assert_allclose(cells, want, rtol=1e-12, atol=0.0)
+
+    def test_endpoint_singular_cell_falls_back(self, baseline):
+        d = SenderDist(0.5, 2, 3)
+        cells, want, fallback = self.row(baseline, d, 0)
+        assert fallback >= 1
+        np.testing.assert_allclose(cells, want, rtol=1e-12, atol=0.0)
+        out = optimize(baseline, d)
+        assert out.diagnostics["grid_fallback_cells"] >= 1
+
+    def test_smooth_shapes_need_no_fallback(self, baseline, uniform3):
+        out = optimize(baseline, uniform3)
+        assert out.diagnostics["grid_fallback_cells"] == 0
 
 
 class TestDeterminism:

@@ -14,17 +14,18 @@ from delegate_opt import (
     solve_bottom,
     solve_top,
 )
-from delegate_opt.errors import DomainError
+from delegate_opt.errors import DegenerateTailError, DomainError
 from delegate_opt.thresholds import (
     POOLING,
     SEPARATING,
     STRICTLY_WELL_BEHAVED,
     classify,
     pooled_action,
+    pooled_action_many,
     resolve,
 )
 
-from conftest import random_admissible
+from conftest import BASELINE_SHAPES, random_admissible
 
 
 @pytest.fixture
@@ -223,11 +224,53 @@ class TestClassify:
         assert sep.s_h == pytest.approx(9.0, rel=1e-10)
 
 
-def test_pooled_action_precomputed_inputs_match(baseline, uniform3, path0):
-    z_h = 1.3
-    plain = pooled_action(baseline, uniform3, path0, z_h)
-    seeded = pooled_action(
-        baseline, uniform3, path0, z_h,
-        sigma=path0.sigma_tilde(z_h), ez=uniform3.trunc_mean(z_h),
+# The solve-interval configuration whose cap probe at z_h = zbar - 1e-8 leaves
+# the top residual non-positive just above sigma(z_h).
+THIN_TAIL = dict(a=0.5760575361358824, q=1.2320116553073412, k=0.9440934866642177)
+THIN_TAIL_DIST = (1, 1, 2.528501293910416)
+THIN_TAIL_INTERVAL = (0.32133047412726606, 4.609555916589276)
+
+
+class TestPooledActionMany:
+    @pytest.mark.parametrize(
+        "params, shape",
+        [(ModelParams(), shape) for shape in BASELINE_SHAPES]
+        + [
+            (ModelParams(a=0.0), (1, 1)),
+            (ModelParams(a=0.6, q=1.5), (5, 3)),
+            (ModelParams(a=0.9, q=0.1, k=2.0), (3, 5)),
+        ],
     )
-    assert plain == seeded
+    def test_matches_scalar_over_full_rows(self, params, shape):
+        d = SenderDist(*shape, 3)
+        grid = np.linspace(0.0, 3.0, 61)
+        ez = np.array([d.trunc_mean(z) for z in grid[1:-1]])
+        for i in (0, 17, 45):
+            path = SeparatingPath(params, grid[i], 3.0)
+            z_h = grid[i + 1:-1]  # row 0 starts at z_h = grid[1]
+            got = pooled_action_many(params, path.sigma_many(z_h), z_h, ez[i:])
+            want = np.array([pooled_action(params, d, path, z) for z in z_h])
+            assert np.all(np.abs(got - want) <= 2.0 * (1e-14 + 1e-12 * want))
+
+    def test_empty_row(self, baseline):
+        empty = np.array([])
+        assert pooled_action_many(baseline, empty, empty, empty).size == 0
+
+
+def test_thin_tail_raises_typed_error():
+    p = ModelParams(**THIN_TAIL)
+    d = SenderDist(*THIN_TAIL_DIST)
+    t_l, t_h = THIN_TAIL_INTERVAL
+    path = SeparatingPath(p, invert_floor(p, d, t_l), d.zbar)
+    with pytest.raises(DegenerateTailError):
+        invert_cap(p, d, path, t_h)
+    z_h = d.zbar - 1e-8
+    with pytest.raises(DegenerateTailError):
+        pooled_action(p, d, path, z_h)
+    with pytest.raises(DegenerateTailError):
+        pooled_action_many(
+            p,
+            np.array([path.sigma_tilde(z_h)]),
+            np.array([z_h]),
+            np.array([d.trunc_mean(z_h)]),
+        )
