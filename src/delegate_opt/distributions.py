@@ -5,10 +5,15 @@ formulas only ever need the density, the CDF, and upper partial moments
 ``int_c^zbar z^p g(z) dz``, so that is the whole surface; there is no
 sampling.
 
-The regularized incomplete beta function is evaluated with the continued
-fraction of the modified Lentz algorithm, switching to the symmetric
-complement for x above (alpha+1)/(alpha+beta+2) so the fraction always
-converges fast. Target absolute error 1e-12.
+All of them are closed forms in the regularized incomplete beta function
+(DLMF 8.17), evaluated with ``scipy.special``:
+
+    int_c^zbar z^p g(z) dz = zbar^p B(alpha+p, beta)/B(alpha, beta)
+                             * (1 - I_{c/zbar}(alpha+p, beta))
+
+for alpha + p > 0. The one case without it, p = -1 with alpha <= 1 (the
+uniform shape reaches it), is integrated by adaptive quadrature from
+EFFECTIVE_ZERO upward.
 """
 
 from __future__ import annotations
@@ -17,73 +22,16 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
+from scipy.special import betainc, betaincc, betaincinv, betaln
 
-from .errors import ConfigError, ConvergenceError, DegenerateTailError, DomainError
+from .errors import ConfigError, DegenerateTailError, DomainError
 from .quadrature import integrate
 
 # Thresholds and lower limits below this are treated as exactly zero; 1/z
 # integrands are cut at it instead.
 EFFECTIVE_ZERO = 1e-6
 
-_CDF_TOL = 1e-12
 _SUPPORT_TOL = 1e-9
-_LENTZ_TINY = 1e-300
-_LENTZ_MAX_ITER = 500
-
-
-def _betacf(a: float, b: float, x: float) -> float:
-    """Continued fraction for the incomplete beta function (modified Lentz)."""
-    qab, qap, qam = a + b, a + 1.0, a - 1.0
-    c = 1.0
-    d = 1.0 - qab * x / qap
-    if abs(d) < _LENTZ_TINY:
-        d = _LENTZ_TINY
-    d = 1.0 / d
-    h = d
-    for m in range(1, _LENTZ_MAX_ITER + 1):
-        m2 = 2 * m
-        # Even step.
-        aa = m * (b - m) * x / ((qam + m2) * (a + m2))
-        d = 1.0 + aa * d
-        if abs(d) < _LENTZ_TINY:
-            d = _LENTZ_TINY
-        c = 1.0 + aa / c
-        if abs(c) < _LENTZ_TINY:
-            c = _LENTZ_TINY
-        d = 1.0 / d
-        h *= d * c
-        # Odd step.
-        aa = -(a + m) * (qab + m) * x / ((a + m2) * (qap + m2))
-        d = 1.0 + aa * d
-        if abs(d) < _LENTZ_TINY:
-            d = _LENTZ_TINY
-        c = 1.0 + aa / c
-        if abs(c) < _LENTZ_TINY:
-            c = _LENTZ_TINY
-        d = 1.0 / d
-        delta = d * c
-        h *= delta
-        if abs(delta - 1.0) < _CDF_TOL:
-            return h
-    raise ConvergenceError(f"incomplete beta continued fraction stalled (a={a}, b={b}, x={x})")
-
-
-def reg_inc_beta(a: float, b: float, x: float) -> float:
-    """Regularized incomplete beta I_x(a, b), abs error <= 1e-12."""
-    if a <= 0.0 or b <= 0.0:
-        raise DomainError("beta shapes must be positive")
-    if x <= 0.0:
-        return 0.0
-    if x >= 1.0:
-        return 1.0
-    ln_front = (
-        math.lgamma(a + b) - math.lgamma(a) - math.lgamma(b)
-        + a * math.log(x) + b * math.log1p(-x)
-    )
-    front = math.exp(ln_front)
-    if x < (a + 1.0) / (a + b + 2.0):
-        return front * _betacf(a, b, x) / a
-    return 1.0 - front * _betacf(b, a, 1.0 - x) / b
 
 
 @dataclass(frozen=True)
@@ -131,35 +79,38 @@ class SenderDist:
             return float(out)
         return out
 
+    def _unit(self, z: float) -> float:
+        """z / zbar clamped to [0, 1]; SciPy returns NaN outside it instead of raising."""
+        return min(max(z / self.zbar, 0.0), 1.0)
+
     def cdf(self, z: float) -> float:
         """P(Z <= z); arguments outside the support are clamped."""
-        return reg_inc_beta(self.alpha, self.beta_shape, z / self.zbar)
+        return float(betainc(self.alpha, self.beta_shape, self._unit(z)))
 
     def quantile(self, p: float) -> float:
-        """Inverse CDF by bisection to 1e-12; diagnostics only."""
+        """Inverse CDF; diagnostics only."""
         if not 0.0 <= p <= 1.0:
             raise DomainError(f"quantile probability {p} outside [0, 1]")
-        lo, hi = 0.0, self.zbar
-        while hi - lo > 1e-12 * self.zbar:
-            mid = 0.5 * (lo + hi)
-            if self.cdf(mid) < p:
-                lo = mid
-            else:
-                hi = mid
-        return 0.5 * (lo + hi)
+        return self.zbar * float(betaincinv(self.alpha, self.beta_shape, p))
 
     def partial_moment(self, c: float, p: float) -> float:
-        """Upper partial moment int_c^zbar z^p g(z) dz by adaptive quadrature."""
+        """Upper partial moment int_c^zbar z^p g(z) dz."""
         if not -_SUPPORT_TOL <= c <= self.zbar + _SUPPORT_TOL:
             raise DomainError(f"lower limit {c} outside [0, {self.zbar}]")
         if p < -1.0:
             raise DomainError(f"exponent {p} below -1 is not integrable here")
         if p == -1.0 and c < EFFECTIVE_ZERO:
             raise DomainError("1/z integrand needs a lower limit >= EFFECTIVE_ZERO")
-        c = min(max(c, 0.0), self.zbar)
-        if c >= self.zbar:
+        a, b = self.alpha, self.beta_shape
+        x = self._unit(c)
+        if x >= 1.0:
             return 0.0
-        return integrate(lambda z: z**p * self.pdf(z), c, self.zbar, rel_tol=1e-9)
+        if a + p > 0.0:
+            ratio = math.exp(betaln(a + p, b) - betaln(a, b))
+            return self.zbar**p * ratio * float(betaincc(a + p, b, x))
+        return integrate(
+            lambda z: z**p * self.pdf(z), max(c, 0.0), self.zbar, rel_tol=1e-9
+        )
 
     def trunc_mean(self, c: float) -> float:
         """Conditional mean E[z | z >= c] = partial_moment(c, 1) / P(z >= c)."""
@@ -169,7 +120,7 @@ class SenderDist:
             raise DomainError(f"threshold {c} outside [0, {self.zbar})")
         if c >= self.zbar - _SUPPORT_TOL:
             return self.zbar
-        mass = 1.0 - self.cdf(c)
+        mass = float(betaincc(self.alpha, self.beta_shape, self._unit(c)))
         if mass < 1e-12:
             raise DegenerateTailError(
                 f"tail mass above {c:g} is below 1e-12; conditional mean is ill-posed"

@@ -2,10 +2,10 @@
 
 Stage one evaluates the objective on a regular grid over
 {0 <= z_l <= z_h <= zbar}, including the pooling diagonal and the separating
-edge. Stage two refines locally: golden-section along the z_l = 0 edge or the
-diagonal when the grid optimum lies there (the usual case), otherwise
-Nelder-Mead with reflection back into the triangle. Everything is
-deterministic; rerunning a configuration reproduces the result bitwise.
+edge. Stage two refines by golden-section search in one dimension: along the
+pooling diagonal when the grid optimum lies on it, otherwise along the
+z_l = 0 edge from its best grid cell. Everything is deterministic; rerunning
+a configuration reproduces the result bitwise.
 
 The grid stage works one row z_l at a time, in batches. The pooling-tail
 integrals depend on z_h only (cached per column). The separating integral is
@@ -39,13 +39,12 @@ _CERT_TOL = 1e-8
 class OptimizerOptions:
     grid: int = 61
     tol: float = 1e-6
-    refine: str = "auto"  # auto | golden | nelder-mead | none
-    max_refine_evals: int = 400
+    refine: str = "auto"  # auto | none
 
     def __post_init__(self) -> None:
         if self.grid < 3:
             raise ConfigError("grid resolution must be at least 3")
-        if self.refine not in ("auto", "golden", "nelder-mead", "none"):
+        if self.refine not in ("auto", "none"):
             raise ConfigError(f"unknown refine method {self.refine!r}")
 
 
@@ -119,6 +118,11 @@ class _GridSweep:
         )
         return i, j, float(self.values[i, j]), tie_break, flat
 
+    def best_edge_column(self) -> int:
+        """Best column j >= 1 of the z_l = 0 edge, the larger z_h on ties."""
+        row = self.values[0, 1:]
+        return int(np.flatnonzero(row >= np.max(row) - _TIE_TOL)[-1]) + 1
+
 
 def _golden_max(
     f: Callable[[float], float], a: float, b: float, tol: float
@@ -142,83 +146,6 @@ def _golden_max(
     return x, f(x), n + 1
 
 
-def _reflect_into_triangle(x: np.ndarray, zbar: float) -> np.ndarray:
-    z_l, z_h = float(x[0]), float(x[1])
-    for _ in range(8):
-        if z_l < 0.0:
-            z_l = -z_l
-        if z_h < 0.0:
-            z_h = -z_h
-        if z_l > zbar:
-            z_l = 2.0 * zbar - z_l
-        if z_h > zbar:
-            z_h = 2.0 * zbar - z_h
-        if 0.0 <= z_l <= z_h <= zbar:
-            break
-        if z_h < z_l:
-            z_l, z_h = z_h, z_l
-    z_l = min(max(z_l, 0.0), zbar)
-    z_h = min(max(z_h, z_l), zbar)
-    return np.array([z_l, z_h])
-
-
-def _nelder_mead(
-    f: Callable[[np.ndarray], float],
-    x0: np.ndarray,
-    step: float,
-    zbar: float,
-    tol: float,
-    max_evals: int,
-) -> tuple[np.ndarray, float, int]:
-    """Maximize f over the triangle with a reflected-simplex Nelder-Mead."""
-    pts = [x0]
-    for k in range(2):
-        x = x0.copy()
-        x[k] += step if x[k] + step <= zbar else -step
-        pts.append(_reflect_into_triangle(x, zbar))
-    simplex = [(p, f(p)) for p in pts]
-    n_evals = 3
-
-    def sort_simplex():
-        simplex.sort(key=lambda t: -t[1])
-
-    sort_simplex()
-    while n_evals < max_evals:
-        spread = max(
-            np.max(np.abs(simplex[0][0] - simplex[k][0])) for k in (1, 2)
-        )
-        if spread < tol:
-            break
-        centroid = 0.5 * (simplex[0][0] + simplex[1][0])
-        worst, f_worst = simplex[2]
-        xr = _reflect_into_triangle(centroid + (centroid - worst), zbar)
-        fr = f(xr)
-        n_evals += 1
-        if fr > simplex[0][1]:
-            xe = _reflect_into_triangle(centroid + 2.0 * (centroid - worst), zbar)
-            fe = f(xe)
-            n_evals += 1
-            simplex[2] = (xe, fe) if fe > fr else (xr, fr)
-        elif fr > simplex[1][1]:
-            simplex[2] = (xr, fr)
-        else:
-            xc = _reflect_into_triangle(centroid + 0.5 * (worst - centroid), zbar)
-            fc = f(xc)
-            n_evals += 1
-            if fc > f_worst:
-                simplex[2] = (xc, fc)
-            else:
-                best = simplex[0][0]
-                for k in (1, 2):
-                    xs = _reflect_into_triangle(
-                        best + 0.5 * (simplex[k][0] - best), zbar
-                    )
-                    simplex[k] = (xs, f(xs))
-                n_evals += 2
-        sort_simplex()
-    return simplex[0][0], simplex[0][1], n_evals
-
-
 def optimize(
     p: ModelParams, d: SenderDist, opts: OptimizerOptions | None = None
 ) -> DelegationOutcome:
@@ -228,7 +155,6 @@ def optimize(
     sweep.run()
     gi, gj, g_val, tie_break, flat = sweep.best()
     grid = sweep.grid
-    step = grid[1] - grid[0]
     z_l, z_h, val = grid[gi], grid[gj], g_val
     method = "none"
     refine_evals = 0
@@ -251,27 +177,19 @@ def optimize(
             if v > val + _TIE_TOL:
                 z_l = z_h = z_star
                 val = v
-        elif gi == 0 and opts.refine in ("auto", "golden"):
-            a = grid[gj - 1]
-            b = grid[min(gj + 1, opts.grid - 1)]
+        else:
+            # Off the diagonal, search the z_l = 0 edge. An interior grid
+            # optimum lies on a ridge that stays flat in z_l down to the edge,
+            # so the edge's own best cell seeds the search.
+            j = gj if gi == 0 else sweep.best_edge_column()
+            a = grid[j - 1]
+            b = grid[min(j + 1, opts.grid - 1)]
             z_top, v, refine_evals = _golden_max(
                 lambda z: value(0.0, z), a, b, opts.tol
             )
             method = "golden-edge"
             if v > val + _TIE_TOL:
                 z_l, z_h, val = 0.0, z_top, v
-        else:
-            x, v, refine_evals = _nelder_mead(
-                lambda x: value(x[0], x[1]),
-                np.array([grid[gi], grid[gj]]),
-                0.5 * step,
-                d.zbar,
-                opts.tol,
-                opts.max_refine_evals,
-            )
-            method = "nelder-mead"
-            if v > val + _TIE_TOL:
-                z_l, z_h, val = float(x[0]), float(x[1]), v
     record = th.resolve(p, d, z_l, z_h)
     breakdown = sp.pi_w(p, d, record.z_l, record.z_h)
     diagnostics = {

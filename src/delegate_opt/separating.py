@@ -207,34 +207,20 @@ class SeparatingPath:
 
     # -- the market wage -------------------------------------------------------
 
-    def tau_tilde(self, s: float, form: str = "cost") -> float:
-        """Wage tau(s), integrating marginal cost along the path by default.
-
-        form="value" integrates the receiver-side integrand
-        v_s + v_z * mu' instead; the two agree by the path's defining ODE and
-        the second form exists purely for cross-checking.
-        """
+    def tau_tilde(self, s: float) -> float:
+        """Wage tau(s), integrating marginal cost along the path."""
         if s < self.s_l * (1.0 - _DOMAIN_SLACK) - _DOMAIN_SLACK:
             raise DomainError(f"tau undefined below s_l={self.s_l}")
         if s > self._s_top * (1.0 + _DOMAIN_SLACK):
             raise DomainError("tau undefined beyond sigma(zbar)")
         s = max(s, self.s_l)
         p = self.params
-        if form == "cost":
-            if self.z_l == 0.0:
-                m = self._m
-                return 2.0 * p.beta_cost / self._B * s ** (2.0 - m) / (2.0 - m)
-            return self.t_l + integrate(
-                lambda y: 2.0 * p.beta_cost * y / self.mu_tilde(y), self.s_l, s
-            )
-        if form == "value":
-            def integrand(y):
-                mu = self.mu_tilde(y)
-                x = model.match_n(p, mu)
-                return model.v_s(p, x, y, mu) + model.v_z(p, x, y, mu) * self.mu_prime(y)
-
-            return self.t_l + integrate(integrand, self.s_l, s)
-        raise ValueError(f"unknown tau form {form!r}")
+        if self.z_l == 0.0:
+            m = self._m
+            return 2.0 * p.beta_cost / self._B * s ** (2.0 - m) / (2.0 - m)
+        return self.t_l + integrate(
+            lambda y: 2.0 * p.beta_cost * y / self.mu_tilde(y), self.s_l, s
+        )
 
     def top_wage(self) -> float:
         """tau(sigma(zbar)) -- the wage cap above which no pooling occurs."""

@@ -6,6 +6,7 @@ import sys
 
 import pytest
 
+from delegate_opt import SenderDist
 from delegate_opt.cli import main
 
 
@@ -38,17 +39,35 @@ class TestSolve:
         assert rec["z_l"] == 0.0
         assert abs(rec["z_h"] - 1.75) < 1e-3
 
-    def test_thin_tail_is_numerical_failure(self, tmp_path, capsys):
+    THIN_TAIL = {
+        "a": 0.5760575361358824, "q": 1.2320116553073412,
+        "k": 0.9440934866642177,
+        "dist": {"alpha": 1, "beta": 1, "zbar": 2.528501293910416},
+    }
+    THIN_TAIL_CAP = 4.609555916589276
+
+    def solve_thin_tail(self, tmp_path, *extra) -> int:
         cfg = tmp_path / "cfg.json"
-        cfg.write_text(json.dumps({
-            "a": 0.5760575361358824, "q": 1.2320116553073412,
-            "k": 0.9440934866642177,
-            "dist": {"alpha": 1, "beta": 1, "zbar": 2.528501293910416},
-        }))
-        assert run_cli(
-            "solve", "--config", str(cfg),
-            "--t-low", "0.32133047412726606", "--t-high", "4.609555916589276",
-        ) == 2
+        cfg.write_text(json.dumps(self.THIN_TAIL))
+        return run_cli(
+            "solve", "--config", str(cfg), "--t-low", "0.32133047412726606",
+            "--t-high", str(self.THIN_TAIL_CAP), *extra,
+        )
+
+    def test_thin_tail_reproducer_solves(self, tmp_path):
+        # The cap search probes z_h = zbar - 1e-8, where an error of 1e-8 in
+        # the tail mean leaves no pooled action.
+        out = tmp_path / "rec.json"
+        assert self.solve_thin_tail(tmp_path, "--out", str(out)) == 0
+        rec = json.loads(out.read_text())
+        assert rec["eq_class"] == "StrictlyWellBehaved"
+        assert rec["z_h"] == pytest.approx(1.387621, abs=1e-6)
+        assert rec["t_h"] == pytest.approx(self.THIN_TAIL_CAP, rel=1e-6)
+
+    def test_thin_tail_is_numerical_failure(self, tmp_path, capsys, monkeypatch):
+        # A tail mean equal to z_h leaves no pooled action (DegenerateTailError).
+        monkeypatch.setattr(SenderDist, "trunc_mean", lambda self, c: c)
+        assert self.solve_thin_tail(tmp_path) == 2
         assert "numerical failure" in capsys.readouterr().err
 
     def test_inverted_interval_rejected(self):

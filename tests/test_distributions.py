@@ -4,9 +4,10 @@ import math
 
 import numpy as np
 import pytest
-from scipy.special import betainc
+from scipy.integrate import quad
+from scipy.special import betaln
 
-from delegate_opt.distributions import SenderDist, reg_inc_beta
+from delegate_opt.distributions import SenderDist
 from delegate_opt.errors import ConfigError, DegenerateTailError, DomainError
 
 from conftest import BASELINE_SHAPES
@@ -60,18 +61,46 @@ class TestCdf:
 
     @pytest.mark.parametrize("a,b", [(1, 1), (5, 5), (3, 5), (5, 3), (0.4, 2.7), (8.1, 0.6)])
     def test_against_scipy(self, a, b):
+        # The density integrated by scipy's algebraic-weight quadrature
+        # (QAWS), which takes the endpoint singularity into the weight: from
+        # 0 below the median of x, as the complement from 1 above it.
+        d = SenderDist(a, b, 1.0)
+        scale = math.exp(-betaln(a, b))
         for x in np.linspace(1e-8, 1 - 1e-8, 61):
-            assert reg_inc_beta(a, b, x) == pytest.approx(
-                betainc(a, b, x), abs=1e-12
-            )
+            if x <= 0.5:
+                want, _ = quad(
+                    lambda t: scale * (1.0 - t) ** (b - 1.0), 0.0, x,
+                    weight="alg", wvar=(a - 1.0, 0.0), epsabs=1e-14, epsrel=1e-13,
+                )
+            else:
+                tail, _ = quad(
+                    lambda t: scale * t ** (a - 1.0), x, 1.0,
+                    weight="alg", wvar=(0.0, b - 1.0), epsabs=1e-14, epsrel=1e-13,
+                )
+                want = 1.0 - tail
+            assert d.cdf(x) == pytest.approx(want, abs=1e-12)
+
+    def test_analytic_values(self):
+        # I_x(1, b) = 1 - (1-x)^b, I_x(a, 1) = x^a and I_1/2(a, a) = 1/2.
+        for x in np.linspace(0.0, 1.0, 41):
+            for e in (0.4, 1.0, 2.7, 8.1):
+                assert SenderDist(1, e, 1.0).cdf(x) == pytest.approx(
+                    1.0 - (1.0 - x) ** e, rel=1e-13, abs=1e-15
+                )
+                assert SenderDist(e, 1, 1.0).cdf(x) == pytest.approx(
+                    x**e, rel=1e-13, abs=1e-15
+                )
+        for a in (0.3, 0.6, 1.0, 2.5, 7.9):
+            assert SenderDist(a, a, 3.0).cdf(1.5) == pytest.approx(0.5, abs=1e-14)
 
     def test_nondecreasing_and_quantile_roundtrip(self):
-        d = SenderDist(3, 5, 3)
         zs = np.linspace(0.05, 2.95, 40)
-        cs = [d.cdf(z) for z in zs]
-        assert all(c2 >= c1 for c1, c2 in zip(cs, cs[1:]))
-        for z in zs:
-            assert d.quantile(d.cdf(z)) == pytest.approx(z, abs=1e-8)
+        for shape in ((3, 5), (0.4, 2.7), (8.1, 0.6)):
+            d = SenderDist(*shape, 3)
+            cs = [d.cdf(z) for z in zs]
+            assert all(c2 >= c1 for c1, c2 in zip(cs, cs[1:]))
+            for z in zs:
+                assert d.quantile(d.cdf(z)) == pytest.approx(z, abs=1e-8)
 
     def test_fsd_ordering(self):
         d53, d55, d35 = (SenderDist(a, b, 3) for a, b in ((5, 3), (5, 5), (3, 5)))
@@ -109,6 +138,13 @@ class TestPartialMoment:
             3.0 * a / (a + b), rel=1e-9
         )
 
+    def test_singular_shapes_match_closed_forms(self):
+        # Endpoint-singular densities: the full first moment is the mean and
+        # the full mass is 1.
+        d = SenderDist(7.03, 0.34, 3)
+        assert d.partial_moment(0.0, 1.0) == pytest.approx(d.mean, rel=1e-12)
+        assert SenderDist(0.4, 2.7, 3).partial_moment(0.0, 0.0) == pytest.approx(1.0)
+
     def test_inverse_moment_guard(self, uniform3):
         with pytest.raises(DomainError):
             uniform3.partial_moment(0.0, -1.0)
@@ -132,6 +168,12 @@ class TestTruncMean:
         for c, v, v_next in zip(grid, vals, vals[1:] + [3.0]):
             assert max(c, d.mean) - 1e-9 <= v <= 3.0
             assert v_next >= v - 1e-9
+
+    def test_lower_limit_just_below_zero(self):
+        # betaincc is NaN below x = 0, so the limit must be clamped first.
+        for shape in BASELINE_SHAPES:
+            d = SenderDist(*shape, 3)
+            assert d.trunc_mean(-5e-10) == pytest.approx(d.mean, rel=1e-12)
 
     def test_limit_guard(self):
         d = SenderDist(5, 5, 3)

@@ -137,8 +137,9 @@ class TestOptions:
     def test_grid_resolution_guard(self):
         with pytest.raises(ConfigError):
             OptimizerOptions(grid=2)
-        with pytest.raises(ConfigError):
-            OptimizerOptions(refine="downhill")
+        for refine in ("downhill", "golden", "nelder-mead"):
+            with pytest.raises(ConfigError):
+                OptimizerOptions(refine=refine)
 
     def test_no_refine_stays_on_grid(self, baseline, uniform3):
         out = optimize(baseline, uniform3, OptimizerOptions(refine="none"))
@@ -150,8 +151,14 @@ class TestOptions:
         assert out.thresholds.z_h == pytest.approx(1.755, abs=0.05)
 
 
-def test_nelder_mead_interior_refinement(baseline, uniform3):
-    # force the 2-d path by disallowing the edge shortcut
-    out = optimize(baseline, uniform3, OptimizerOptions(refine="nelder-mead"))
-    assert out.thresholds.z_h == pytest.approx(1.755, abs=0.01)
-    assert out.thresholds.z_l == pytest.approx(0.0, abs=1e-4)
+def test_interior_grid_optimum_refines_on_edge():
+    # The grid optimum of this configuration is interior (z_l > 0). The edge
+    # search from the best z_l = 0 cell must reach at least the value a 2-D
+    # simplex search reaches at z_l = 9e-5.
+    p = ModelParams(a=0.1559489380294215, q=0.9757566420397943, k=1.0515969801722909)
+    d = SenderDist(6.304873828871028, 3.3441746404432293, 1.4633510143385504)
+    out = optimize(p, d)
+    assert out.diagnostics["grid_best"]["z_l"] > 0.0
+    assert out.diagnostics["refine_method"] == "golden-edge"
+    assert out.thresholds.z_l == 0.0
+    assert out.surplus.total >= 0.7491472211633147

@@ -7,6 +7,7 @@ from scipy.optimize import brentq
 
 from delegate_opt import ModelParams, SeparatingPath, model, s_lower
 from delegate_opt.errors import DomainError
+from delegate_opt.quadrature import integrate
 
 from conftest import random_admissible
 
@@ -22,6 +23,21 @@ def entry_action_by_bisection(p: ModelParams, z_l: float) -> float:
     while f(hi) > 0:
         hi *= 2.0
     return brentq(f, 1e-12, hi, xtol=1e-14, rtol=1e-13)
+
+
+def tau_by_value(path: SeparatingPath, s: float) -> float:
+    """Wage integrating the receiver-side integrand v_s + v_z * mu' instead.
+
+    It agrees with ``tau_tilde`` (marginal cost) by the path's defining ODE.
+    """
+    p = path.params
+
+    def integrand(y):
+        mu = path.mu_tilde(y)
+        x = model.match_n(p, mu)
+        return model.v_s(p, x, y, mu) + model.v_z(p, x, y, mu) * path.mu_prime(y)
+
+    return path.t_l + integrate(integrand, path.s_l, s)
 
 
 class TestEntryAction:
@@ -170,7 +186,7 @@ class TestWage:
             path = SeparatingPath(p, 0.0, 3.0)
             s = float(rng.uniform(0.3, 1.0)) * path.sigma_tilde(3.0)
             assert path.tau_tilde(s) == pytest.approx(
-                path.tau_tilde(s, form="value"), rel=1e-8, abs=1e-9
+                tau_by_value(path, s), rel=1e-8, abs=1e-9
             )
 
     def test_two_forms_agree_anchored(self, rng):
@@ -182,7 +198,7 @@ class TestWage:
             for frac in (0.25, 0.6, 1.0):
                 s = path.s_l + frac * (s_top - path.s_l)
                 cost_form = path.tau_tilde(s)
-                value_form = path.tau_tilde(s, form="value")
+                value_form = tau_by_value(path, s)
                 assert cost_form == pytest.approx(value_form, rel=1e-8, abs=1e-8)
 
     def test_integrand_forms_agree_pointwise(self, rng):

@@ -224,13 +224,6 @@ class TestClassify:
         assert sep.s_h == pytest.approx(9.0, rel=1e-10)
 
 
-# The solve-interval configuration whose cap probe at z_h = zbar - 1e-8 leaves
-# the top residual non-positive just above sigma(z_h).
-THIN_TAIL = dict(a=0.5760575361358824, q=1.2320116553073412, k=0.9440934866642177)
-THIN_TAIL_DIST = (1, 1, 2.528501293910416)
-THIN_TAIL_INTERVAL = (0.32133047412726606, 4.609555916589276)
-
-
 class TestPooledActionMany:
     @pytest.mark.parametrize(
         "params, shape",
@@ -257,20 +250,17 @@ class TestPooledActionMany:
         assert pooled_action_many(baseline, empty, empty, empty).size == 0
 
 
-def test_thin_tail_raises_typed_error():
-    p = ModelParams(**THIN_TAIL)
-    d = SenderDist(*THIN_TAIL_DIST)
-    t_l, t_h = THIN_TAIL_INTERVAL
-    path = SeparatingPath(p, invert_floor(p, d, t_l), d.zbar)
+def test_thin_tail_raises_typed_error(monkeypatch):
+    # With no tail beyond z_h (E[z | z >= z_h] = z_h) the top residual falls
+    # from zero at sigma(z_h), since the separating path has c_s > v_s there:
+    # no pooled action exists.
+    p = ModelParams(a=0.58, q=1.23, k=0.94)
+    d = SenderDist(1, 1, 2.5)
+    path = SeparatingPath(p, 0.69, d.zbar)
+    z_h = np.linspace(0.8, 2.4, 9)
     with pytest.raises(DegenerateTailError):
-        invert_cap(p, d, path, t_h)
-    z_h = d.zbar - 1e-8
-    with pytest.raises(DegenerateTailError):
-        pooled_action(p, d, path, z_h)
-    with pytest.raises(DegenerateTailError):
-        pooled_action_many(
-            p,
-            np.array([path.sigma_tilde(z_h)]),
-            np.array([z_h]),
-            np.array([d.trunc_mean(z_h)]),
-        )
+        pooled_action_many(p, path.sigma_many(z_h), z_h, z_h)
+    monkeypatch.setattr(SenderDist, "trunc_mean", lambda self, c: c)
+    for z in z_h:
+        with pytest.raises(DegenerateTailError):
+            pooled_action(p, d, path, float(z))
