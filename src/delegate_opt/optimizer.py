@@ -1,18 +1,21 @@
 """Maximize aggregate net surplus over the threshold triangle.
 
-Stage one evaluates the objective on a regular grid over
-{0 <= z_l <= z_h <= zbar}, including the pooling diagonal and the separating
-edge. Stage two refines by golden-section search in one dimension: along the
-pooling diagonal when the grid optimum lies on it, otherwise along the
-z_l = 0 edge from its best grid cell. Everything is deterministic; rerunning
-a configuration reproduces the result bitwise.
+The optimum of {0 <= z_l <= z_h <= zbar} lies on the z_l = 0 edge
+(Pi_w(0, z_h)) or on the pooling diagonal (Pi_p(z)), so only those two lines
+are searched. Stage one scans both on a regular grid, 2n - 1 cells in all.
+Stage two refines both by golden-section search in one dimension: along the
+edge from its best cell and along the diagonal from its best cell. The grid
+best's own branch comes first; the other branch replaces its result only if
+it wins by more than the tie tolerance. Everything is deterministic;
+rerunning a configuration reproduces the result bitwise.
 
-The grid stage works one row z_l at a time, in batches. The pooling-tail
-integrals depend on z_h only (cached per column). The separating integral is
-cumulative in z_h: one K15 panel per cell, all cells of the row in one
-``sigma_many`` call, summed along the row (cells whose error estimate misses
-the target fall back to adaptive quadrature). The row's pooled actions come
-from one array root solve.
+The edge scan is one batch: one K15 panel per cell, all cells in one
+``sigma_many`` call, summed along z_h (cells whose error estimate misses the
+target fall back to adaptive quadrature), plus one array root solve for the
+pooled actions. The diagonal is one array expression for the pooled action
+s*(z). The pooling-tail integrals depend on z_h only (cached per column); a
+column whose tail is too thin for a conditional mean holds no pooling value
+(NaN) and is skipped.
 """
 
 from __future__ import annotations
@@ -25,7 +28,7 @@ import numpy as np
 from . import surplus as sp
 from . import thresholds as th
 from .distributions import EFFECTIVE_ZERO, SenderDist
-from .errors import ConfigError, ConvergenceError
+from .errors import ConfigError, ConvergenceError, DegenerateTailError
 from .model import ModelParams
 from .separating import SeparatingPath
 
@@ -57,22 +60,31 @@ class DelegationOutcome:
     diagnostics: dict = field(compare=False)
 
 
-class _GridSweep:
-    """Objective values on the triangular grid, cached per optimize() call."""
+class _Scan:
+    """Objective values on the z_l = 0 edge and the pooling diagonal.
+
+    ``edge[j]`` is Pi_w(0, grid[j]) and ``diag[i]`` is Pi_p(grid[i]); the
+    corner (0, 0) lies on both. Cached per optimize() call.
+    """
 
     def __init__(self, p: ModelParams, d: SenderDist, n: int):
         self.p, self.d, self.n = p, d, n
         self.grid = np.linspace(0.0, d.zbar, n)
-        self.values = np.full((n, n), np.nan)
-        self.n_evals = 0
+        self.edge = np.full(n, np.nan)
+        self.diag = np.full(n, np.nan)
+        self.n_evals = 2 * n - 1
         self.n_fallback = 0
-        # Column data: tail integrals depend on z_h alone.
-        self.ez = np.empty(n)
-        self.pm_q = np.empty(n)
-        self.pm_inv = np.empty(n)
+        # Column data: tail integrals depend on z_h alone. A column whose tail
+        # is too thin for a conditional mean keeps NaN: it holds no pooling value.
+        self.ez = np.full(n, np.nan)
+        self.pm_q = np.full(n, np.nan)
+        self.pm_inv = np.full(n, np.nan)
         for j in range(n - 1):
             z = self.grid[j]
-            self.ez[j] = d.trunc_mean(z)
+            try:
+                self.ez[j] = d.trunc_mean(z)
+            except DegenerateTailError:
+                continue
             self.pm_q[j] = d.partial_moment(z, p.q)
             self.pm_inv[j] = d.partial_moment(max(z, EFFECTIVE_ZERO), -1.0)
         self.ez[n - 1] = d.zbar
@@ -80,48 +92,57 @@ class _GridSweep:
         self.pm_inv[n - 1] = 0.0
 
     def run(self) -> None:
-        p, d, n, grid = self.p, self.d, self.n, self.grid
-        for i in range(n - 1):
-            path = SeparatingPath(p, grid[i], d.zbar)
-            # Actions at the row's knots z_l = grid[i] < grid[i+1] < ... < zbar.
-            sig_knots = np.concatenate(([path.s_l], path.sigma_many(grid[i + 1:])))
-            cells, fallback = sp.sep_cells(p, d, path, grid[i:], sig_knots)
-            self.n_fallback += fallback
-            cum = np.cumsum(cells)
-            # Pooling parts along the row: the diagonal pools at s*(z_l), the
-            # interior columns at s_h(z_h); the z_h = zbar column has none.
-            s_star, _ = th.pooling_star(p, d, grid[i])
-            s_h = th.pooled_action_many(
-                p, sig_knots[1:-1], grid[i + 1:-1], self.ez[i + 1:-1]
-            )
-            pool = sp.pool_part(
-                p, d, grid[i:-1], np.concatenate(([s_star], s_h)),
-                self.pm_q[i:-1], self.pm_inv[i:-1], self.ez[i:-1],
-            )
-            self.values[i, i] = pool[0]
-            self.values[i, i + 1:-1] = cum[:-1] + pool[1:]
-            self.values[i, -1] = cum[-1]
-            self.n_evals += n - i
-        self.values[-1, -1] = 0.0  # empty market corner
-        self.n_evals += 1
+        p, d, grid = self.p, self.d, self.grid
+        ez, pm_q, pm_inv = self.ez[:-1], self.pm_q[:-1], self.pm_inv[:-1]
+        # Diagonal: pooling_star's pooled action s*(z), zero at the z = 0 corner.
+        s_star = (
+            grid[:-1] ** (p.q + 1.0) * p.A * p.k * ez / p.beta_cost
+        ) ** (1.0 / (2.0 - p.a))
+        s_star[grid[:-1] < EFFECTIVE_ZERO] = 0.0
+        self.diag[:-1] = sp.pool_part(p, d, grid[:-1], s_star, pm_q, pm_inv, ez)
+        self.diag[-1] = 0.0  # empty market corner
+        # Edge: separating cells (0, z_j] in one batch, pooled at s_h(z_j) in
+        # between; the z_h = zbar column has no pooling part.
+        path = SeparatingPath(p, 0.0, d.zbar)
+        sig_knots = np.concatenate(([path.s_l], path.sigma_many(grid[1:])))
+        cells, self.n_fallback = sp.sep_cells(p, d, path, grid, sig_knots)
+        cum = np.cumsum(cells)
+        pools = np.isfinite(ez[1:])
+        s_h = np.full(self.n - 2, np.nan)
+        s_h[pools] = th.pooled_action_many(
+            p, sig_knots[1:-1][pools], grid[1:-1][pools], ez[1:][pools]
+        )
+        pool = sp.pool_part(p, d, grid[1:-1], s_h, pm_q[1:], pm_inv[1:], ez[1:])
+        self.edge[0] = self.diag[0]
+        self.edge[1:-1] = cum[:-1] + pool
+        self.edge[-1] = cum[-1]
 
     def best(self) -> tuple[int, int, float, bool, bool]:
-        """Best cell under the tie rule: value, then larger z_h, then smaller z_l."""
-        vmax = np.nanmax(self.values)
-        ii, jj = np.where(self.values >= vmax - _TIE_TOL)
-        order = sorted(range(len(ii)), key=lambda t: (-jj[t], ii[t]))
-        i, j = int(ii[order[0]]), int(jj[order[0]])
-        tie_break = len(ii) > 1
-        near = np.argwhere(self.values >= vmax - _FLAT_TOL)
-        flat = any(
-            abs(int(a) - i) > 1 or abs(int(b) - j) > 1 for a, b in near
-        )
-        return i, j, float(self.values[i, j]), tie_break, flat
+        """Best scanned cell: value first, then larger z_h, then smaller z_l."""
+        n = self.n
+        ii = np.concatenate((np.zeros(n, dtype=int), np.arange(1, n)))
+        jj = np.concatenate((np.arange(n), np.arange(1, n)))
+        values = np.concatenate((self.edge, self.diag[1:]))
+        vmax = np.nanmax(values)
+        tied = np.flatnonzero(values >= vmax - _TIE_TOL)
+        k = min(tied, key=lambda t: (-jj[t], ii[t]))
+        i, j = int(ii[k]), int(jj[k])
+        near = np.flatnonzero(values >= vmax - _FLAT_TOL)
+        flat = bool(np.any((np.abs(ii[near] - i) > 1) | (np.abs(jj[near] - j) > 1)))
+        return i, j, float(values[k]), len(tied) > 1, flat
 
     def best_edge_column(self) -> int:
         """Best column j >= 1 of the z_l = 0 edge, the larger z_h on ties."""
-        row = self.values[0, 1:]
-        return int(np.flatnonzero(row >= np.max(row) - _TIE_TOL)[-1]) + 1
+        return _last_best(self.edge[1:]) + 1
+
+    def best_diagonal_cell(self) -> int:
+        """Best cell of the pooling diagonal, the larger z on ties."""
+        return _last_best(self.diag)
+
+
+def _last_best(values: np.ndarray) -> int:
+    """Last index within the tie tolerance of the maximum; NaN never counts."""
+    return int(np.flatnonzero(values >= np.nanmax(values) - _TIE_TOL)[-1])
 
 
 def _golden_max(
@@ -151,7 +172,7 @@ def optimize(
 ) -> DelegationOutcome:
     """Solve the planner's problem: argmax of the net surplus over thresholds."""
     opts = opts or OptimizerOptions()
-    sweep = _GridSweep(p, d, opts.grid)
+    sweep = _Scan(p, d, opts.grid)
     sweep.run()
     gi, gj, g_val, tie_break, flat = sweep.best()
     grid = sweep.grid
@@ -159,37 +180,28 @@ def optimize(
     method = "none"
     refine_evals = 0
 
-    def value(z_lo: float, z_hi: float) -> float:
-        return sp.pi_w(p, d, z_lo, z_hi).total
-
-    # A refined point replaces the grid optimum only when it wins by more
+    # A refined point replaces the current optimum only when it wins by more
     # than the tie tolerance; on noise-flat plateaus the structured grid
     # point (e.g. the exact pooling corner) is kept.
     if opts.refine != "none":
-        if gi == gj:
-            # Pooling diagonal: one-dimensional in the common threshold.
-            a = grid[max(gi - 1, 0)]
-            b = grid[min(gi + 1, opts.grid - 1)]
-            z_star, v, refine_evals = _golden_max(
-                lambda z: value(z, z), a, min(b, d.zbar * (1.0 - 1e-12)), opts.tol
+        # Each line is searched around its own best cell; the grid best's own
+        # line goes first.
+        top = opts.grid - 1
+        i, j = sweep.best_diagonal_cell(), sweep.best_edge_column()
+        diagonal = (
+            "golden-diagonal", lambda z: (z, z),
+            grid[max(i - 1, 0)], min(grid[min(i + 1, top)], d.zbar * (1.0 - 1e-12)),
+        )
+        edge = ("golden-edge", lambda z: (0.0, z), grid[j - 1], grid[min(j + 1, top)])
+        branches = (diagonal, edge) if gi == gj else (edge, diagonal)
+        method = branches[0][0]
+        for name, point, a, b in branches:
+            z, v, n_evals = _golden_max(
+                lambda x: sp.pi_w(p, d, *point(x)).total, a, b, opts.tol
             )
-            method = "golden-diagonal"
+            refine_evals += n_evals
             if v > val + _TIE_TOL:
-                z_l = z_h = z_star
-                val = v
-        else:
-            # Off the diagonal, search the z_l = 0 edge. An interior grid
-            # optimum lies on a ridge that stays flat in z_l down to the edge,
-            # so the edge's own best cell seeds the search.
-            j = gj if gi == 0 else sweep.best_edge_column()
-            a = grid[j - 1]
-            b = grid[min(j + 1, opts.grid - 1)]
-            z_top, v, refine_evals = _golden_max(
-                lambda z: value(0.0, z), a, b, opts.tol
-            )
-            method = "golden-edge"
-            if v > val + _TIE_TOL:
-                z_l, z_h, val = 0.0, z_top, v
+                (z_l, z_h), val, method = point(z), v, name
     record = th.resolve(p, d, z_l, z_h)
     breakdown = sp.pi_w(p, d, record.z_l, record.z_h)
     diagnostics = {

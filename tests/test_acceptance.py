@@ -25,10 +25,9 @@ from delegate_opt import (
     well_behaved_gain,
 )
 from delegate_opt.harness import load_golden, rows_to_csv, run_design
-from delegate_opt.optimizer import _GridSweep
 from delegate_opt.thresholds import POOLING, STRICTLY_WELL_BEHAVED
 
-from conftest import BASELINE_SHAPES, random_admissible
+from conftest import BASELINE_SHAPES, brute_force_triangle, random_admissible
 
 
 def _report(criterion: int, name: str, failures: list[str]) -> None:
@@ -278,9 +277,8 @@ def test_criterion_09_analytic_invariants(rng):
     ]:
         d = SenderDist(*shape, 3)
         out = optimize(params, d)
-        brute = _GridSweep(params, d, 201)
-        brute.run()
-        if out.surplus.total < np.nanmax(brute.values) - 1e-8:
+        brute = brute_force_triangle(params, d, 201)
+        if out.surplus.total < np.nanmax(brute) - 1e-8:
             failures.append(f"brute force beat the optimizer at {shape}")
     _report(9, "analytic invariant suite", failures)
 

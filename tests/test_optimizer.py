@@ -9,11 +9,11 @@ from delegate_opt import ModelParams, SenderDist, SeparatingPath, optimize, pi_s
 from delegate_opt import surplus as sp
 from delegate_opt.cli import main
 from delegate_opt.errors import ConfigError, ConvergenceError
-from delegate_opt.optimizer import OptimizerOptions, _GridSweep
+from delegate_opt.optimizer import OptimizerOptions
 from delegate_opt.surplus import sep_cells, sep_part
 from delegate_opt.thresholds import POOLING, STRICTLY_WELL_BEHAVED
 
-from conftest import BASELINE_SHAPES
+from conftest import BASELINE_SHAPES, brute_force_triangle
 
 
 class TestBaselineOptimum:
@@ -53,23 +53,35 @@ class TestCertificates:
     @pytest.mark.parametrize(
         "params, shape",
         [
-            (ModelParams(), (1, 1)),
-            (ModelParams(), (3, 5)),
-            (ModelParams(a=0.0, q=1.0), (1, 1)),
-            (ModelParams(a=0.6, q=1.5), (5, 3)),
+            (ModelParams(), (1, 1, 3)),
+            (ModelParams(), (3, 5, 3)),
+            (ModelParams(a=0.0, q=1.0), (1, 1, 3)),
+            (ModelParams(a=0.6, q=1.5), (5, 3, 3)),
+            # Two configurations that refining only the grid best's branch
+            # (edge or diagonal) leaves short of the triangle.
+            (
+                ModelParams(a=0.17866903319340557, q=0.7262539011007032,
+                            k=0.9485150689178663),
+                (7.600555272863273, 4.714661925605631, 2.038184317337435),
+            ),
+            (
+                ModelParams(a=0.055678876340736726, q=0.8230336469959498,
+                            k=2.4100752210961716),
+                (5.920917217315901, 1.171678134444217, 3.4456653648753153),
+            ),
         ],
     )
     def test_refined_beats_brute_force_grid(self, params, shape):
-        d = SenderDist(*shape, 3)
+        d = SenderDist(*shape)
         out = optimize(params, d)
-        brute = _GridSweep(params, d, 201)
-        brute.run()
-        assert out.surplus.total >= np.nanmax(brute.values) - 1e-8
+        brute = brute_force_triangle(params, d, 201)
+        assert out.surplus.total >= np.nanmax(brute) - 1e-8
 
     def test_grid_certificate_recorded(self, baseline, uniform3):
         out = optimize(baseline, uniform3)
         assert out.diagnostics["certificate"] >= -1e-8
-        assert out.diagnostics["n_grid_evals"] == 61 * 62 // 2
+        # The z_l = 0 edge and the pooling diagonal share the (0, 0) cell.
+        assert out.diagnostics["n_grid_evals"] == 2 * 61 - 1
 
     def test_certificate_failure_is_numerical(self, baseline, uniform3, monkeypatch):
         # A refined value below the grid value is a numerical failure (exit 2).
@@ -152,13 +164,40 @@ class TestOptions:
 
 
 def test_interior_grid_optimum_refines_on_edge():
-    # The grid optimum of this configuration is interior (z_l > 0). The edge
-    # search from the best z_l = 0 cell must reach at least the value a 2-D
-    # simplex search reaches at z_l = 9e-5.
+    # The full triangle's grid optimum of this configuration is interior
+    # (z_l > 0). The edge search must reach at least the value a 2-D simplex
+    # search reaches at z_l = 9e-5, and the triangle's best cell.
     p = ModelParams(a=0.1559489380294215, q=0.9757566420397943, k=1.0515969801722909)
     d = SenderDist(6.304873828871028, 3.3441746404432293, 1.4633510143385504)
+    triangle = brute_force_triangle(p, d, 61)
+    i, j = np.unravel_index(np.nanargmax(triangle), triangle.shape)
+    assert 0 < i < j
     out = optimize(p, d)
-    assert out.diagnostics["grid_best"]["z_l"] > 0.0
     assert out.diagnostics["refine_method"] == "golden-edge"
     assert out.thresholds.z_l == 0.0
     assert out.surplus.total >= 0.7491472211633147
+    assert out.surplus.total >= np.nanmax(triangle) - 1e-8
+
+
+def test_edge_beats_diagonal_grid_best():
+    # The best scanned cell is on the pooling diagonal, but refining the edge
+    # finds more: both branches are refined, not only the grid best's.
+    p = ModelParams(a=0.117615821226549, q=0.16252462223198094, k=2.7659809135006426)
+    d = SenderDist(2.6593614598928235, 6.712516187015921, 1.8077328990201713)
+    out = optimize(p, d)
+    best = out.diagnostics["grid_best"]
+    assert best["z_l"] == best["z_h"] > 0.0
+    assert out.diagnostics["refine_method"] == "golden-edge"
+    assert out.thresholds.z_l == 0.0
+    assert out.surplus.total >= 0.97962
+
+
+def test_thin_tail_columns_are_skipped():
+    # Above z = 3.66541 the tail mass is below 1e-12, so the top grid columns
+    # have no conditional mean; they hold no pooling value instead of
+    # aborting the optimization.
+    p = ModelParams(a=0.31987239932116085, q=1.0381969729919802, k=2.4131184581963065)
+    d = SenderDist(1.4631795411914794, 7.487329320767199, 3.727537941971651)
+    out = optimize(p, d)
+    assert out.thresholds.z_l <= out.thresholds.z_h
+    assert out.surplus.total >= pi_s(p, d) - 1e-8
