@@ -11,9 +11,14 @@ All of them are closed forms in the regularized incomplete beta function
     int_c^zbar z^p g(z) dz = zbar^p B(alpha+p, beta)/B(alpha, beta)
                              * (1 - I_{c/zbar}(alpha+p, beta))
 
-for alpha + p > 0. The one case without it, p = -1 with alpha <= 1 (the
-uniform shape reaches it), is integrated by adaptive quadrature from
-EFFECTIVE_ZERO upward.
+for alpha + p > 0. Otherwise (p = -1 with alpha <= 1, which the uniform shape
+reaches) the substitution t = 1 - z/zbar leaves an incomplete beta whose second
+parameter is not positive, written with the Gauss hypergeometric function:
+
+    int_c^zbar z^p g(z) dz = zbar^p y^beta / beta
+                             * 2F1(beta, 1-alpha-p; beta+1; y) / B(alpha, beta)
+
+with y = 1 - c/zbar. No moment uses quadrature.
 """
 
 from __future__ import annotations
@@ -22,10 +27,9 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import betainc, betaincc, betaincinv, betaln
+from scipy.special import betainc, betaincc, betaincinv, betaln, hyp2f1
 
 from .errors import ConfigError, DegenerateTailError, DomainError
-from .quadrature import integrate
 
 # Thresholds and lower limits below this are treated as exactly zero; 1/z
 # integrands are cut at it instead.
@@ -99,18 +103,18 @@ class SenderDist:
             raise DomainError(f"lower limit {c} outside [0, {self.zbar}]")
         if p < -1.0:
             raise DomainError(f"exponent {p} below -1 is not integrable here")
-        if p == -1.0 and c < EFFECTIVE_ZERO:
-            raise DomainError("1/z integrand needs a lower limit >= EFFECTIVE_ZERO")
         a, b = self.alpha, self.beta_shape
+        if (p == -1.0 or a + p <= 0.0) and c < EFFECTIVE_ZERO:
+            raise DomainError("1/z integrand needs a lower limit >= EFFECTIVE_ZERO")
         x = self._unit(c)
         if x >= 1.0:
             return 0.0
         if a + p > 0.0:
             ratio = math.exp(betaln(a + p, b) - betaln(a, b))
             return self.zbar**p * ratio * float(betaincc(a + p, b, x))
-        return integrate(
-            lambda z: z**p * self.pdf(z), max(c, 0.0), self.zbar, rel_tol=1e-9
-        )
+        y = (self.zbar - c) / self.zbar  # exact difference near zbar, unlike 1 - x
+        tail = y**b / b * float(hyp2f1(b, 1.0 - a - p, b + 1.0, y))
+        return self.zbar**p * tail / math.exp(betaln(a, b))
 
     def trunc_mean(self, c: float) -> float:
         """Conditional mean E[z | z >= c] = partial_moment(c, 1) / P(z >= c)."""

@@ -9,13 +9,13 @@ best's own branch comes first; the other branch replaces its result only if
 it wins by more than the tie tolerance. Everything is deterministic;
 rerunning a configuration reproduces the result bitwise.
 
-The edge scan is one batch: one K15 panel per cell, all cells in one
-``sigma_many`` call, summed along z_h (cells whose error estimate misses the
-target fall back to adaptive quadrature), plus one array root solve for the
-pooled actions. The diagonal is one array expression for the pooled action
-s*(z). The pooling-tail integrals depend on z_h only (cached per column); a
-column whose tail is too thin for a conditional mean holds no pooling value
-(NaN) and is skipped.
+The edge scan is one batch: the separating parts Pi_w(0, z_h) come from
+``surplus.sep_part``'s closed form (one regularized incomplete beta per
+column), the pooled actions from one array root solve. The diagonal is one
+array expression for the pooled action s*(z). The pooling-tail integrals
+depend on z_h only (cached per column); a column whose tail is too thin for a
+conditional mean holds no pooling value (NaN) and is skipped. No stage calls
+adaptive quadrature.
 """
 
 from __future__ import annotations
@@ -73,7 +73,6 @@ class _Scan:
         self.edge = np.full(n, np.nan)
         self.diag = np.full(n, np.nan)
         self.n_evals = 2 * n - 1
-        self.n_fallback = 0
         # Column data: tail integrals depend on z_h alone. A column whose tail
         # is too thin for a conditional mean keeps NaN: it holds no pooling value.
         self.ez = np.full(n, np.nan)
@@ -101,21 +100,19 @@ class _Scan:
         s_star[grid[:-1] < EFFECTIVE_ZERO] = 0.0
         self.diag[:-1] = sp.pool_part(p, d, grid[:-1], s_star, pm_q, pm_inv, ez)
         self.diag[-1] = 0.0  # empty market corner
-        # Edge: separating cells (0, z_j] in one batch, pooled at s_h(z_j) in
-        # between; the z_h = zbar column has no pooling part.
+        # Edge: separating over (0, z_j], pooled at s_h(z_j) above it; the
+        # z_h = zbar column has no pooling part.
         path = SeparatingPath(p, 0.0, d.zbar)
-        sig_knots = np.concatenate(([path.s_l], path.sigma_many(grid[1:])))
-        cells, self.n_fallback = sp.sep_cells(p, d, path, grid, sig_knots)
-        cum = np.cumsum(cells)
+        sep = sp.sep_part(p, d, path, 0.0, grid[1:])
         pools = np.isfinite(ez[1:])
         s_h = np.full(self.n - 2, np.nan)
         s_h[pools] = th.pooled_action_many(
-            p, sig_knots[1:-1][pools], grid[1:-1][pools], ez[1:][pools]
+            p, path.sigma_many(grid[1:-1][pools]), grid[1:-1][pools], ez[1:][pools]
         )
         pool = sp.pool_part(p, d, grid[1:-1], s_h, pm_q[1:], pm_inv[1:], ez[1:])
         self.edge[0] = self.diag[0]
-        self.edge[1:-1] = cum[:-1] + pool
-        self.edge[-1] = cum[-1]
+        self.edge[1:-1] = sep[:-1] + pool
+        self.edge[-1] = sep[-1]
 
     def best(self) -> tuple[int, int, float, bool, bool]:
         """Best scanned cell: value first, then larger z_h, then smaller z_l."""
@@ -210,7 +207,6 @@ def optimize(
         "refine_method": method,
         "refine_evals": refine_evals,
         "n_grid_evals": sweep.n_evals,
-        "grid_fallback_cells": sweep.n_fallback,
         "tie_break_applied": tie_break,
         "flat_objective": flat,
         "certificate": float(breakdown.total - g_val),

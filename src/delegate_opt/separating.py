@@ -55,7 +55,7 @@ class SeparatingPath:
     zbar: float
     s_l: float = field(init=False)
     t_l: float = field(init=False)
-    _c1: float = field(init=False, repr=False)
+    c1: float = field(init=False, repr=False)
     _kappa: float = field(init=False, repr=False)
     _s_top: float = field(init=False, repr=False)
 
@@ -74,7 +74,7 @@ class SeparatingPath:
             )
         object.__setattr__(self, "s_l", s_l)
         object.__setattr__(self, "t_l", t_l)
-        object.__setattr__(self, "_c1", c1)
+        object.__setattr__(self, "c1", c1)
         object.__setattr__(self, "_kappa", kappa)
         object.__setattr__(self, "_s_top", self._solve_top_action())
 
@@ -87,13 +87,13 @@ class SeparatingPath:
 
     @property
     def _B(self) -> float:
-        return self._c1 ** (1.0 / (2.0 + self.params.q))
+        return self.c1 ** (1.0 / (2.0 + self.params.q))
 
     def _solve_top_action(self) -> float:
         """sigma(zbar), the right end of the action domain."""
         p = self.params
         target = self.zbar ** (2.0 + p.q)
-        seed = (target / self._c1) ** (1.0 / (2.0 - p.a))
+        seed = (target / self.c1) ** (1.0 / (2.0 - p.a))
         if self.z_l == 0.0:
             return seed
         hi = max(seed, 2.0 * self.s_l, 1e-12)
@@ -122,14 +122,14 @@ class SeparatingPath:
         """mu(s)^(2+q)."""
         p = self.params
         if self._kappa == 0.0:
-            return self._c1 * np.power(s, 2.0 - p.a)
-        return self._c1 * np.power(s, 2.0 - p.a) + self._kappa * np.power(
+            return self.c1 * np.power(s, 2.0 - p.a)
+        return self.c1 * np.power(s, 2.0 - p.a) + self._kappa * np.power(
             s, -p.a * (2.0 + p.q)
         )
 
     def _poly_prime(self, s):
         p = self.params
-        out = (2.0 - p.a) * self._c1 * np.power(s, 1.0 - p.a)
+        out = (2.0 - p.a) * self.c1 * np.power(s, 1.0 - p.a)
         if self._kappa != 0.0 and p.a != 0.0:
             out = out - p.a * (2.0 + p.q) * self._kappa * np.power(
                 s, -p.a * (2.0 + p.q) - 1.0
@@ -166,12 +166,10 @@ class SeparatingPath:
         """Equilibrium action sigma(z) with mu(sigma(z)) = z."""
         return float(self.sigma_many(np.asarray([z], dtype=float))[0])
 
-    def sigma_many(self, z: np.ndarray, seed: np.ndarray | None = None) -> np.ndarray:
+    def sigma_many(self, z: np.ndarray) -> np.ndarray:
         """Vectorized inversion of mu; exact power law when z_l = 0.
 
-        ``seed`` supplies per-node starting actions (e.g. interpolated from
-        neighbouring solves); without it the kappa-free power law seeds from
-        below.
+        For z_l > 0, safeguarded Newton starts from the kappa-free power law.
         """
         z = np.asarray(z, dtype=float)
         if np.any(z < self.z_l - _DOMAIN_SLACK) or np.any(z > self.zbar * (1.0 + _DOMAIN_SLACK)):
@@ -180,21 +178,18 @@ class SeparatingPath:
         p = self.params
         target = np.power(z, 2.0 + p.q)
         if self.z_l == 0.0:
-            return np.power(target / self._c1, 1.0 / (2.0 - p.a))
+            return np.power(target / self.c1, 1.0 / (2.0 - p.a))
 
         # Safeguarded Newton on P(s) = z^(2+q).
         g = p.a * (2.0 + p.q)
         lo = np.full_like(z, self.s_l)
         hi = np.full_like(z, self._s_top * (1.0 + 1e-12))
-        if seed is None:
-            s = np.maximum((target / self._c1) ** (1.0 / (2.0 - p.a)), self.s_l)
-        else:
-            s = np.clip(np.asarray(seed, dtype=float), lo, hi)
+        s = np.maximum((target / self.c1) ** (1.0 / (2.0 - p.a)), self.s_l)
         for _ in range(100):
             pow1 = np.power(s, 2.0 - p.a)
             pow2 = np.power(s, -g) if self._kappa != 0.0 else 0.0
-            f = self._c1 * pow1 + self._kappa * pow2 - target
-            fp = ((2.0 - p.a) * self._c1 * pow1 - g * self._kappa * pow2) / s
+            f = self.c1 * pow1 + self._kappa * pow2 - target
+            fp = ((2.0 - p.a) * self.c1 * pow1 - g * self._kappa * pow2) / s
             lo = np.where(f < 0.0, s, lo)
             hi = np.where(f > 0.0, s, hi)
             s_new = s - f / fp

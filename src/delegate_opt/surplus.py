@@ -8,25 +8,36 @@ one pooled action) on [z_h, zbar]:
     pool = A k s_h^a E[z|z>=z_h] int_{z_h}^{zbar} z^q g(z) dz
            - beta s_h^2 int_{z_h}^{zbar} g(z)/z dz
 
+On a path anchored at z_l = 0, sigma(z) = (z^(2+q)/c1)^(1/(2-a)) is a power
+law, so the separating density is K z^P g(z) with P = (2+2q+a)/(2-a) and
+K = A k c1^(-a/(2-a)) - beta c1^(-2/(2-a)), and the separating part is a
+difference of regularized incomplete betas:
+
+    sep = K zbar^P B(alpha+P, beta)/B(alpha, beta)
+          * (I_{z_hi/zbar} - I_{z_lo/zbar})(alpha+P, beta)
+
+Paths anchored at z_l > 0 are integrated by adaptive quadrature. The pooling
+part takes its tail integrals from the closed forms in ``distributions``.
 Transfers cancel, so nothing here reads wages.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, replace
 
 import numpy as np
+from scipy.special import betainc, betaln
 
 from . import thresholds
 from .distributions import EFFECTIVE_ZERO, SenderDist
 from .errors import DomainError
 from .model import ModelParams
-from .quadrature import ABS_TOL, integrate, kronrod_estimate, kronrod_nodes
+from .quadrature import integrate
 from .separating import SeparatingPath
+from .thresholds import _TOP_GUARD
 
 _REL_TOL = 1e-8
-# beyond zbar - this, the pooling part is treated as empty (see thresholds).
-_TOP_GUARD = 1e-9
 
 
 @dataclass(frozen=True)
@@ -55,43 +66,27 @@ def sep_part(
     p: ModelParams,
     d: SenderDist,
     path: SeparatingPath,
-    z_lo: float,
-    z_hi: float,
-    rel_tol: float = _REL_TOL,
-) -> float:
-    """Net surplus density integrated over a slice of the separating region."""
-    return integrate(
-        lambda z: _net_density(p, d, z, path.sigma_many(z)), z_lo, z_hi, rel_tol=rel_tol
-    )
+    z_lo: float | np.ndarray,
+    z_hi: float | np.ndarray,
+) -> float | np.ndarray:
+    """Net surplus density integrated over a slice of the separating region.
 
-
-def sep_cells(
-    p: ModelParams,
-    d: SenderDist,
-    path: SeparatingPath,
-    edges: np.ndarray,
-    sig_edges: np.ndarray,
-) -> tuple[np.ndarray, int]:
-    """Separating part over every cell (edges[k], edges[k+1]] in one batch.
-
-    ``sig_edges`` holds sigma at the edges; interpolating it seeds the
-    inversion at the cells' Kronrod nodes, so the whole batch is one
-    ``sigma_many`` call. A cell whose K15/G7 error estimate misses
-    ``sep_part``'s target (endpoint-singular densities) is integrated again
-    adaptively. Returns the cell values and the number of such fallback cells.
+    Closed form on a path anchored at z_l = 0, where z_lo and z_hi may be
+    arrays; adaptive quadrature on any other path.
     """
-
-    def density(z: np.ndarray) -> np.ndarray:
-        sig = path.sigma_many(z, seed=np.interp(z, edges, sig_edges))
-        return _net_density(p, d, z, sig)
-
-    lo, hi = edges[:-1], edges[1:]
-    z, half = kronrod_nodes(lo, hi)
-    vals, errs = kronrod_estimate(density(z), half)
-    missed = np.flatnonzero(errs > np.maximum(ABS_TOL, _REL_TOL * np.abs(vals)))
-    for k in missed:
-        vals[k] = integrate(density, lo[k], hi[k], rel_tol=_REL_TOL)
-    return vals, len(missed)
+    if path.z_l > 0.0:
+        return integrate(
+            lambda z: _net_density(p, d, z, path.sigma_many(z)), z_lo, z_hi,
+            rel_tol=_REL_TOL,
+        )
+    e = 1.0 / (2.0 - p.a)
+    power = (2.0 + 2.0 * p.q + p.a) * e
+    k_net = p.A * p.k * path.c1 ** (-p.a * e) - p.beta_cost * path.c1 ** (-2.0 * e)
+    a, b = d.alpha + power, d.beta_shape
+    scale = k_net * d.zbar**power * math.exp(betaln(a, b) - betaln(d.alpha, b))
+    # SciPy returns NaN outside [0, 1], so the limits are clamped first.
+    x_lo, x_hi = (np.clip(z / d.zbar, 0.0, 1.0) for z in (z_lo, z_hi))
+    return scale * (betainc(a, b, x_hi) - betainc(a, b, x_lo))
 
 
 def pool_part(
@@ -122,27 +117,15 @@ def pool_part(
     return gross - p.beta_cost * s_h**2 * pm_inv
 
 
-def pi_w(
-    p: ModelParams,
-    d: SenderDist,
-    z_l: float,
-    z_h: float,
-    path: SeparatingPath | None = None,
-) -> SurplusBreakdown:
-    """Aggregate net surplus of the well-behaved equilibrium at (z_l, z_h).
-
-    Pass ``path`` to reuse a separating path already anchored at z_l.
-    """
+def pi_w(p: ModelParams, d: SenderDist, z_l: float, z_h: float) -> SurplusBreakdown:
+    """Aggregate net surplus of the well-behaved equilibrium at (z_l, z_h)."""
     if not 0.0 <= z_l <= z_h <= d.zbar * (1.0 + 1e-12):
         raise DomainError(f"need 0 <= z_l <= z_h <= zbar, got ({z_l}, {z_h})")
-    if path is not None and path.z_l != z_l:
-        raise DomainError("path anchored at a different z_l")
     if z_h <= z_l:
         s_star, _ = thresholds.pooling_star(p, d, z_l)
         pool = pool_part(p, d, z_l, s_star)
         return SurplusBreakdown(0.0, pool, pool, z_l, z_h)
-    if path is None:
-        path = SeparatingPath(p, z_l, d.zbar)
+    path = SeparatingPath(p, z_l, d.zbar)
     if z_h >= d.zbar - _TOP_GUARD:
         sep = sep_part(p, d, path, z_l, d.zbar)
         return SurplusBreakdown(sep, 0.0, sep, z_l, z_h)

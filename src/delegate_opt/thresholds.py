@@ -29,8 +29,9 @@ POOLING = "Pooling"
 STRICTLY_WELL_BEHAVED = "StrictlyWellBehaved"
 SEPARATING = "Separating"
 
-# z_h closer than this to zbar is classified Separating and the top system
-# is not solved (the conditional tail mean degenerates there).
+# z_h closer than this to zbar is classified Separating: the top system is
+# not solved (the conditional tail mean degenerates there) and the pooling
+# part is empty.
 _TOP_GUARD = 1e-9
 _RETRIEVAL_RTOL = 1e-6
 

@@ -145,6 +145,21 @@ class TestPartialMoment:
         assert d.partial_moment(0.0, 1.0) == pytest.approx(d.mean, rel=1e-12)
         assert SenderDist(0.4, 2.7, 3).partial_moment(0.0, 0.0) == pytest.approx(1.0)
 
+    @pytest.mark.filterwarnings("ignore::scipy.integrate.IntegrationWarning")
+    @pytest.mark.parametrize("alpha", [1.0, 0.9999, 0.5, 0.3])
+    def test_inverse_moment_against_scipy(self, alpha):
+        # p = -1 with alpha <= 1 is the 2F1 form; scipy integrates
+        # z^(alpha-2) against the algebraic weight (zbar - z)^(beta-1).
+        for b in (0.34, 1.0, 8.0):
+            d = SenderDist(alpha, b, 3)
+            norm = 3.0 ** (alpha + b - 1.0) * math.exp(betaln(alpha, b))
+            for c in (1e-6, 1.5, 3.0 - 1e-6):
+                want, _ = quad(
+                    lambda z: z ** (alpha - 2.0), c, 3.0, weight="alg",
+                    wvar=(0.0, b - 1.0), epsabs=0.0, epsrel=1e-13, limit=200,
+                )
+                assert d.partial_moment(c, -1.0) == pytest.approx(want / norm, rel=1e-10)
+
     def test_inverse_moment_guard(self, uniform3):
         with pytest.raises(DomainError):
             uniform3.partial_moment(0.0, -1.0)

@@ -6,14 +6,16 @@ import numpy as np
 import pytest
 
 from delegate_opt import ModelParams, SenderDist, SeparatingPath, optimize, pi_s
+from delegate_opt import distributions, quadrature, separating
 from delegate_opt import surplus as sp
 from delegate_opt.cli import main
 from delegate_opt.errors import ConfigError, ConvergenceError
+from delegate_opt.harness import run_config
 from delegate_opt.optimizer import OptimizerOptions
-from delegate_opt.surplus import sep_cells, sep_part
+from delegate_opt.surplus import sep_part
 from delegate_opt.thresholds import POOLING, STRICTLY_WELL_BEHAVED
 
-from conftest import BASELINE_SHAPES, brute_force_triangle
+from conftest import BASELINE_SHAPES, brute_force_triangle, sep_cells
 
 
 class TestBaselineOptimum:
@@ -98,34 +100,39 @@ class TestCertificates:
 
 
 class TestGridBatch:
+    """The tests' batched row engine (``sep_cells``) against ``sep_part``."""
+
     @staticmethod
     def row(p, d, i, n=61):
         """Batched and per-cell separating parts of grid row i."""
         grid = np.linspace(0.0, d.zbar, n)
         path = SeparatingPath(p, grid[i], d.zbar)
-        sig_knots = np.concatenate(([path.s_l], path.sigma_many(grid[i + 1:])))
-        cells, fallback = sep_cells(p, d, path, grid[i:], sig_knots)
+        cells, fallback = sep_cells(p, d, path, grid[i:])
         want = [sep_part(p, d, path, grid[j - 1], grid[j]) for j in range(i + 1, n)]
         return cells, np.array(want), fallback
 
     @pytest.mark.parametrize("shape", BASELINE_SHAPES)
     def test_rows_match_per_cell_sep_part(self, baseline, shape):
         d = SenderDist(*shape, 3)
-        for i in (0, 12, 40, 59):
+        for i in (12, 40, 59):
             cells, want, _ = self.row(baseline, d, i)
             np.testing.assert_allclose(cells, want, rtol=1e-12, atol=0.0)
+        # Row 0 against the closed form over (0, z_j]. Its tiny first cells
+        # differ by ~1e-17 absolute, too much for rtol 1e-12; their sums do not.
+        grid = np.linspace(0.0, d.zbar, 61)
+        path = SeparatingPath(baseline, 0.0, d.zbar)
+        cells, _ = sep_cells(baseline, d, path, grid)
+        want = sep_part(baseline, d, path, 0.0, grid[1:])
+        np.testing.assert_allclose(np.cumsum(cells), want, rtol=1e-12, atol=0.0)
 
     def test_endpoint_singular_cell_falls_back(self, baseline):
-        d = SenderDist(0.5, 2, 3)
-        cells, want, fallback = self.row(baseline, d, 0)
-        assert fallback >= 1
-        np.testing.assert_allclose(cells, want, rtol=1e-12, atol=0.0)
-        out = optimize(baseline, d)
-        assert out.diagnostics["grid_fallback_cells"] >= 1
-
-    def test_smooth_shapes_need_no_fallback(self, baseline, uniform3):
-        out = optimize(baseline, uniform3)
-        assert out.diagnostics["grid_fallback_cells"] == 0
+        # beta_shape < 1: the last cell of every row has a density that grows
+        # like (zbar - z)^-0.5 and misses the K15 target.
+        d = SenderDist(2, 0.5, 3)
+        for i in (1, 30):
+            cells, want, fallback = self.row(baseline, d, i)
+            assert fallback >= 1
+            np.testing.assert_allclose(cells, want, rtol=1e-12, atol=0.0)
 
 
 class TestDeterminism:
@@ -201,3 +208,25 @@ def test_thin_tail_columns_are_skipped():
     out = optimize(p, d)
     assert out.thresholds.z_l <= out.thresholds.z_h
     assert out.surplus.total >= pi_s(p, d) - 1e-8
+
+
+@pytest.mark.parametrize(
+    "params, shape",
+    [(ModelParams(), (*shape, 3)) for shape in BASELINE_SHAPES]
+    + [(ModelParams(), (*shape, 3)) for shape in ((2, 0.5), (0.7, 0.7), (0.5, 2))]
+    + [(ModelParams(a=0.74), (7.03, 0.34, 3.37))],
+)
+def test_optimizer_makes_no_quadrature_call(params, shape, monkeypatch):
+    # The edge's separating part and every tail moment are closed forms, so
+    # neither optimize nor a design row reaches adaptive quadrature.
+    def no_quadrature(*args, **kwargs):
+        raise AssertionError("adaptive quadrature called")
+
+    for module in (quadrature, sp, separating, distributions):
+        if hasattr(module, "integrate"):
+            monkeypatch.setattr(module, "integrate", no_quadrature)
+    d = SenderDist(*shape)
+    out = optimize(params, d)
+    assert out.surplus.total >= pi_s(params, d) - 1e-8
+    row = run_config(params, d, design=1)
+    assert row.pi_w == out.surplus.total

@@ -6,6 +6,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 from scipy.integrate import quad
+from scipy.special import betaln
 
 from delegate_opt import (
     ModelParams,
@@ -73,6 +74,37 @@ class TestPiW:
         for z_l, z_h in ((0.7, 1.5), (1.2, 2.9)):
             want, _ = quad(integrand, z_l, z_h, epsabs=1e-12, epsrel=1e-11)
             assert sep_part(p, d, path, z_l, z_h) == pytest.approx(want, rel=1e-8)
+
+    def test_edge_sep_part_exact_value(self, baseline):
+        # Baseline edge: sigma = z^(3/2), net density z^3 / 2; for
+        # 3 * Beta(2, 1/2), E[z^3] = 27 B(5, 1/2) / B(2, 1/2) = 576/35.
+        d = SenderDist(2, 0.5, 3)
+        path = SeparatingPath(baseline, 0.0, 3.0)
+        assert sep_part(baseline, d, path, 0.0, 3.0) == pytest.approx(288 / 35, rel=1e-14)
+
+    def test_edge_sep_part_against_scipy(self):
+        # Endpoint-singular density (beta_shape < 1): scipy's algebraic-weight
+        # quadrature of the net density built from sigma itself.
+        p = ModelParams(a=0.74)
+        d = SenderDist(7.03, 0.34, 3.37)
+        path = SeparatingPath(p, 0.0, d.zbar)
+        norm = d.zbar ** (d.alpha + d.beta_shape - 1.0) * math.exp(
+            betaln(d.alpha, d.beta_shape)
+        )
+
+        def net(z):
+            if z == 0.0:  # sigma(0) = 0; the weight evaluates the endpoint
+                return 0.0
+            sig = path.sigma_tilde(z)
+            return p.A * p.k * z ** (p.q + 1) * sig**p.a - p.beta_cost * sig**2 / z
+
+        want, _ = quad(
+            net, 0.0, d.zbar, weight="alg", wvar=(d.alpha - 1.0, d.beta_shape - 1.0),
+            epsabs=0.0, epsrel=1e-13,
+        )
+        assert sep_part(p, d, path, 0.0, d.zbar) == pytest.approx(want / norm, rel=1e-10)
+        part, _ = quad(lambda z: net(z) * d.pdf(z), 0.0, 2.0, epsabs=0.0, epsrel=1e-13)
+        assert sep_part(p, d, path, 0.0, 2.0) == pytest.approx(part, rel=1e-10)
 
     def test_transfer_free_scaling(self, rng):
         for _ in range(5):
