@@ -182,14 +182,20 @@ def optimize(
     # point (e.g. the exact pooling corner) is kept.
     if opts.refine != "none":
         # Each line is searched around its own best cell; the grid best's own
-        # line goes first.
+        # line goes first. Both brackets start at EFFECTIVE_ZERO at the
+        # lowest: resolve snaps any point below it to the z = 0 corner, where
+        # the pooled value s*^a drops to 0^a = 0 for a tiny positive a.
         top = opts.grid - 1
         i, j = sweep.best_diagonal_cell(), sweep.best_edge_column()
         diagonal = (
             "golden-diagonal", lambda z: (z, z),
-            grid[max(i - 1, 0)], min(grid[min(i + 1, top)], d.zbar * (1.0 - 1e-12)),
+            max(grid[max(i - 1, 0)], EFFECTIVE_ZERO),
+            min(grid[min(i + 1, top)], d.zbar * (1.0 - 1e-12)),
         )
-        edge = ("golden-edge", lambda z: (0.0, z), grid[j - 1], grid[min(j + 1, top)])
+        edge = (
+            "golden-edge", lambda z: (0.0, z),
+            max(grid[j - 1], EFFECTIVE_ZERO), grid[min(j + 1, top)],
+        )
         branches = (diagonal, edge) if gi == gj else (edge, diagonal)
         method = branches[0][0]
         for name, point, a, b in branches:

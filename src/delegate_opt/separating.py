@@ -9,8 +9,10 @@ where c1 = 2 beta (2+q) / (A k (2+a+aq)) and kappa is pinned down by the
 initial condition mu(s_l) = z_l (kappa = 0 when z_l = 0, in which case mu is
 a pure power law B s^m with m = (2-a)/(2+q)). The action function sigma is
 mu's inverse, obtained by safeguarded Newton since no closed form exists for
-z_l > 0. The wage tau integrates the marginal cost along the path, which by
-the envelope argument equals the receiver-side marginal-value integrand.
+z_l > 0. The wage tau is the integral of the marginal cost 2 beta s / mu(s)
+along the path, which by the envelope argument equals the receiver-side
+marginal-value integrand. It has a closed form: a power law when z_l = 0, a
+Gauss hypergeometric function (DLMF 15.2) when z_l > 0.
 """
 
 from __future__ import annotations
@@ -18,11 +20,11 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 import numpy as np
+from scipy.special import hyp2f1
 
 from . import model
 from .errors import ConvergenceError, DomainError
 from .model import ModelParams
-from .quadrature import integrate
 
 _INV_TOL = 1e-12
 _DOMAIN_SLACK = 1e-9
@@ -203,19 +205,36 @@ class SeparatingPath:
     # -- the market wage -------------------------------------------------------
 
     def tau_tilde(self, s: float) -> float:
-        """Wage tau(s), integrating marginal cost along the path."""
+        """Wage tau(s) = t_l + int_{s_l}^s 2 beta y / mu(y) dy, in closed form.
+
+        Write mu(s) = B s^m (1 - w(s))^g with g = 1/(2+q) and
+        w(s) = -kappa / (c1 s^r) = w_l (s_l/s)^r, where r = 2+a+aq and the
+        entry condition gives w_l = 1 - r/(2(2+q)) < 1. Then
+        s^(2-m) 2F1(b, g; b+1; w(s)) with b = -(2-m)/r has the derivative
+        (2-m) s^(1-m) (1-w)^(-g), so it is the integrand's antiderivative up
+        to the factor 2 beta / (B (2-m)). On z_l = 0, w = 0 and the wage is
+        the power law.
+        """
         if s < self.s_l * (1.0 - _DOMAIN_SLACK) - _DOMAIN_SLACK:
             raise DomainError(f"tau undefined below s_l={self.s_l}")
         if s > self._s_top * (1.0 + _DOMAIN_SLACK):
             raise DomainError("tau undefined beyond sigma(zbar)")
         s = max(s, self.s_l)
         p = self.params
+        m = self._m
+        scale = 2.0 * p.beta_cost / self._B
         if self.z_l == 0.0:
-            m = self._m
-            return 2.0 * p.beta_cost / self._B * s ** (2.0 - m) / (2.0 - m)
-        return self.t_l + integrate(
-            lambda y: 2.0 * p.beta_cost * y / self.mu_tilde(y), self.s_l, s
-        )
+            return scale * s ** (2.0 - m) / (2.0 - m)
+        r = 2.0 + p.a + p.a * p.q
+        b = (m - 2.0) / r
+        w_l = 1.0 - r / (2.0 * (2.0 + p.q))
+
+        def antiderivative(y: float) -> float:
+            w = w_l * (self.s_l / y) ** r
+            return y ** (2.0 - m) * hyp2f1(b, 1.0 / (2.0 + p.q), b + 1.0, w)
+
+        rise = antiderivative(s) - antiderivative(self.s_l)
+        return self.t_l + scale * rise / (2.0 - m)
 
     def top_wage(self) -> float:
         """tau(sigma(zbar)) -- the wage cap above which no pooling occurs."""

@@ -16,9 +16,17 @@ difference of regularized incomplete betas:
     sep = K zbar^P B(alpha+P, beta)/B(alpha, beta)
           * (I_{z_hi/zbar} - I_{z_lo/zbar})(alpha+P, beta)
 
-Paths anchored at z_l > 0 are integrated by adaptive quadrature. The pooling
-part takes its tail integrals from the closed forms in ``distributions``.
-Transfers cancel, so nothing here reads wages.
+On a path anchored at z_l > 0, sigma has no closed form but its inverse mu
+does, so the separating part is integrated over the action instead of the
+type (z = mu(s), dz = mu'(s) ds):
+
+    sep = int_{sigma(z_lo)}^{sigma(z_hi)}
+              (A k mu^(q+1) s^a - beta s^2 / mu) g(mu) mu'(s) ds
+
+by QUADPACK's QAGS, whose extrapolation handles the (zbar - z)^(beta-1)
+endpoint singularity of Beta shapes below 1; only the two limits invert mu.
+The pooling part takes its tail integrals from the closed forms in
+``distributions``. Transfers cancel, so nothing here reads wages.
 """
 
 from __future__ import annotations
@@ -37,8 +45,6 @@ from .quadrature import integrate
 from .separating import SeparatingPath
 from .thresholds import _TOP_GUARD
 
-_REL_TOL = 1e-8
-
 
 @dataclass(frozen=True)
 class SurplusBreakdown:
@@ -47,19 +53,6 @@ class SurplusBreakdown:
     total: float
     z_l: float
     z_h: float
-
-
-def _net_density(
-    p: ModelParams, d: SenderDist, z: np.ndarray, sig: np.ndarray
-) -> np.ndarray:
-    """Net surplus density (A k z^(q+1) sigma^a - beta sigma^2 / z) g(z)."""
-    with np.errstate(invalid="ignore"):
-        net = (
-            p.A * p.k * np.power(z, p.q + 1.0) * np.power(sig, p.a)
-            - p.beta_cost * sig**2 / z
-        )
-    # z = 0 can only occur with sigma = 0, where the density is 0 too.
-    return np.where(z == 0.0, 0.0, net) * d.pdf(z)
 
 
 def sep_part(
@@ -72,13 +65,17 @@ def sep_part(
     """Net surplus density integrated over a slice of the separating region.
 
     Closed form on a path anchored at z_l = 0, where z_lo and z_hi may be
-    arrays; adaptive quadrature on any other path.
+    arrays; adaptive quadrature over the action on any other path.
     """
     if path.z_l > 0.0:
-        return integrate(
-            lambda z: _net_density(p, d, z, path.sigma_many(z)), z_lo, z_hi,
-            rel_tol=_REL_TOL,
-        )
+
+        def density(s: float) -> float:
+            mu = path.mu_tilde(s)
+            net = p.A * p.k * mu ** (p.q + 1.0) * s**p.a - p.beta_cost * s**2 / mu
+            return net * d.pdf(mu) * path.mu_prime(s)
+
+        s_lo, s_hi = path.sigma_many(np.array([z_lo, z_hi], dtype=float))
+        return integrate(density, s_lo, s_hi)
     e = 1.0 / (2.0 - p.a)
     power = (2.0 + 2.0 * p.q + p.a) * e
     k_net = p.A * p.k * path.c1 ** (-p.a * e) - p.beta_cost * path.c1 ** (-2.0 * e)

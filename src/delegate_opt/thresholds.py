@@ -79,18 +79,22 @@ def solve_bottom(p: ModelParams, d: SenderDist, z_l: float) -> tuple[float, floa
 
 
 def invert_floor(p: ModelParams, d: SenderDist, t_l: float) -> float:
-    """Entry type z_l induced by a reaction floor t_l (inverse of solve_bottom)."""
+    """Entry type z_l induced by a reaction floor t_l (inverse of solve_bottom).
+
+    The floor is the power law t_l = beta (A k / beta)^(2/(2-a))
+    z_l^((2q+2+a)/(2-a)), inverted directly; a z_l below EFFECTIVE_ZERO is
+    the z_l = 0 normalization, as in ``resolve``.
+    """
     if t_l < 0:
         raise DomainError(f"floor t_l={t_l} negative")
-    if t_l == 0.0:
-        return 0.0
-    hi = d.zbar * (1.0 - 1e-12)
-    _, t_hi = solve_bottom(p, d, hi)
-    if t_l >= t_hi:
-        raise DomainError(f"floor t_l={t_l} excludes every type (max {t_hi:g})")
-    return brentq(
-        lambda z: solve_bottom(p, d, z)[1] - t_l, 0.0, hi, xtol=1e-13, rtol=8.9e-16
-    )
+    scale = p.beta_cost * (p.A * p.k / p.beta_cost) ** (2.0 / (2.0 - p.a))
+    power = (2.0 * p.q + 2.0 + p.a) / (2.0 - p.a)
+    z_l = (t_l / scale) ** (1.0 / power)
+    if z_l >= d.zbar:
+        raise DomainError(
+            f"floor t_l={t_l} excludes every type (max {scale * d.zbar**power:g})"
+        )
+    return 0.0 if z_l < EFFECTIVE_ZERO else z_l
 
 
 def _top_rhs(p: ModelParams, sig, z_h):

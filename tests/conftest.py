@@ -2,14 +2,19 @@ from __future__ import annotations
 
 import numpy as np
 import pytest
+from scipy.special import roots_legendre
 
 from delegate_opt import ModelParams, SenderDist, SeparatingPath
 from delegate_opt.distributions import EFFECTIVE_ZERO
-from delegate_opt.quadrature import ABS_TOL, integrate, kronrod_estimate, kronrod_nodes
-from delegate_opt.surplus import _REL_TOL, _net_density, pool_part
+from delegate_opt.quadrature import ABS_TOL, REL_TOL
+from delegate_opt.surplus import pool_part, sep_part
 from delegate_opt.thresholds import pooled_action_many, pooling_star
 
 BASELINE_SHAPES = ((1, 1), (5, 5), (3, 5), (5, 3))
+# Gauss-Legendre rules on [-1, 1]: the 20-point rule gives a cell's value and
+# the 10-point rule its error estimate.
+_X20, _W20 = roots_legendre(20)
+_X10, _W10 = roots_legendre(10)
 
 
 @pytest.fixture
@@ -43,21 +48,26 @@ def sep_cells(
 ) -> tuple[np.ndarray, int]:
     """Separating part over every cell (edges[k], edges[k+1]] in one batch.
 
-    One K15 panel per cell, all nodes in one ``sigma_many`` call. A cell whose
-    K15/G7 error estimate misses ``sep_part``'s target (endpoint-singular
-    densities) is integrated again adaptively. Returns the cell values and
-    the number of such fallback cells.
+    The net surplus density (A k z^(q+1) sigma^a - beta sigma^2 / z) g(z) is
+    integrated over the type by a G20 rule per cell, with the G10 rule as the
+    error estimate; all nodes go through one ``sigma_many`` call. A cell whose
+    estimate misses the package's quadrature target (endpoint-singular
+    densities) is handed to the public ``sep_part``. Returns the cell values
+    and the number of such fallback cells.
     """
-
-    def density(z: np.ndarray) -> np.ndarray:
-        return _net_density(p, d, z, path.sigma_many(z))
-
     lo, hi = edges[:-1], edges[1:]
-    z, half = kronrod_nodes(lo, hi)
-    vals, errs = kronrod_estimate(density(z), half)
-    missed = np.flatnonzero(errs > np.maximum(ABS_TOL, _REL_TOL * np.abs(vals)))
+    half = 0.5 * (hi - lo)
+    nodes = np.concatenate((_X20, _X10))
+    z = np.multiply.outer(nodes, half) + 0.5 * (lo + hi)
+    sig = path.sigma_many(z)
+    fz = (
+        p.A * p.k * z ** (p.q + 1.0) * sig**p.a - p.beta_cost * sig**2 / z
+    ) * d.pdf(z)
+    vals = half * (_W20 @ fz[:20])
+    err = np.abs(vals - half * (_W10 @ fz[20:]))
+    missed = np.flatnonzero(err > np.maximum(ABS_TOL, REL_TOL * np.abs(vals)))
     for k in missed:
-        vals[k] = integrate(density, lo[k], hi[k], rel_tol=_REL_TOL)
+        vals[k] = sep_part(p, d, path, lo[k], hi[k])
     return vals, len(missed)
 
 

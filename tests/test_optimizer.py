@@ -127,7 +127,7 @@ class TestGridBatch:
 
     def test_endpoint_singular_cell_falls_back(self, baseline):
         # beta_shape < 1: the last cell of every row has a density that grows
-        # like (zbar - z)^-0.5 and misses the K15 target.
+        # like (zbar - z)^-0.5 and misses the G20/G10 target.
         d = SenderDist(2, 0.5, 3)
         for i in (1, 30):
             cells, want, fallback = self.row(baseline, d, i)
@@ -208,6 +208,18 @@ def test_thin_tail_columns_are_skipped():
     out = optimize(p, d)
     assert out.thresholds.z_l <= out.thresholds.z_h
     assert out.surplus.total >= pi_s(p, d) - 1e-8
+
+
+def test_tiny_signal_productivity_solves():
+    # For a tiny positive a the pooled value s*^a is about 1 for any s* > 0
+    # but 0^a = 0 at the z = 0 corner. Both refinement brackets stop at
+    # EFFECTIVE_ZERO, so neither walks into the corner that resolve snaps to.
+    p = ModelParams(A=0.7597, beta_cost=0.2986, a=1.16e-281, k=1.607, q=0.2044)
+    d = SenderDist(1.2926, 3.2237, 2.9996)
+    out = optimize(p, d)
+    assert out.thresholds.eq_class == STRICTLY_WELL_BEHAVED
+    assert out.surplus.total == pytest.approx(0.968225, abs=1e-6)
+    assert out.diagnostics["certificate"] >= -1e-8
 
 
 @pytest.mark.parametrize(

@@ -106,6 +106,34 @@ class TestPiW:
         part, _ = quad(lambda z: net(z) * d.pdf(z), 0.0, 2.0, epsabs=0.0, epsrel=1e-13)
         assert sep_part(p, d, path, 0.0, 2.0) == pytest.approx(part, rel=1e-10)
 
+    @pytest.mark.parametrize(
+        "params, shape, z_l",
+        [
+            (ModelParams(a=0.74), (7.03, 0.34, 3.37), 0.5),
+            (ModelParams(a=0.2, q=0.5, k=2.0), (2, 0.5, 3), 1.0),
+        ],
+    )
+    def test_anchored_sep_part_against_scipy(self, params, shape, z_l):
+        # Endpoint-singular density on a path anchored at z_l > 0: scipy's
+        # algebraic-weight quadrature over the type, with sigma by inversion.
+        p, d = params, SenderDist(*shape)
+        path = SeparatingPath(p, z_l, d.zbar)
+        norm = d.zbar ** (d.alpha + d.beta_shape - 1.0) * math.exp(
+            betaln(d.alpha, d.beta_shape)
+        )
+
+        def net(z):
+            sig = path.sigma_tilde(z)
+            return (
+                p.A * p.k * z ** (p.q + 1) * sig**p.a - p.beta_cost * sig**2 / z
+            ) * z ** (d.alpha - 1.0)
+
+        want, _ = quad(
+            net, z_l, d.zbar, weight="alg", wvar=(0.0, d.beta_shape - 1.0),
+            epsabs=0.0, epsrel=1e-13,
+        )
+        assert sep_part(p, d, path, z_l, d.zbar) == pytest.approx(want / norm, rel=1e-10)
+
     def test_transfer_free_scaling(self, rng):
         for _ in range(5):
             p = random_admissible(rng)

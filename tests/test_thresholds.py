@@ -11,9 +11,12 @@ from delegate_opt import (
     invert_floor,
     model,
     pooling_star,
+    quadrature,
+    separating,
     solve_bottom,
     solve_top,
 )
+from delegate_opt.distributions import EFFECTIVE_ZERO
 from delegate_opt.errors import DegenerateTailError, DomainError
 from delegate_opt.thresholds import (
     POOLING,
@@ -55,6 +58,17 @@ class TestSolveBottom:
         for z_l in (0.0, 0.4, 1.3):
             _, t_l = solve_bottom(baseline, uniform3, z_l)
             assert invert_floor(baseline, uniform3, t_l) == pytest.approx(z_l, abs=1e-9)
+
+    @pytest.mark.parametrize("t_l", [1e-30, 1e-20, 1e-14])
+    def test_tiny_floor_inverts(self, baseline, uniform3, t_l):
+        # A tiny floor is a tiny entry type, snapped to the z_l = 0
+        # normalization below EFFECTIVE_ZERO, not a root-finder failure.
+        z_l = invert_floor(baseline, uniform3, t_l)
+        if z_l == 0.0:
+            assert solve_bottom(baseline, uniform3, EFFECTIVE_ZERO)[1] > t_l
+        else:
+            assert z_l >= EFFECTIVE_ZERO
+            assert solve_bottom(baseline, uniform3, z_l)[1] == pytest.approx(t_l, rel=1e-12)
 
 
 class TestSolveTop:
@@ -264,3 +278,24 @@ def test_thin_tail_raises_typed_error(monkeypatch):
     for z in z_h:
         with pytest.raises(DegenerateTailError):
             pooled_action(p, d, path, float(z))
+
+
+@pytest.mark.parametrize("shape", [(1, 1, 3), (2, 0.5, 3), (5, 3, 3)])
+@pytest.mark.parametrize("z_l", [0.4, 1.0])
+def test_anchored_maps_make_no_quadrature_call(baseline, shape, z_l, monkeypatch):
+    # The wage has a closed form on paths anchored at z_l > 0 too, so neither
+    # direction of the top system integrates.
+    def no_quadrature(*args, **kwargs):
+        raise AssertionError("adaptive quadrature called")
+
+    for module in (quadrature, separating):
+        if hasattr(module, "integrate"):
+            monkeypatch.setattr(module, "integrate", no_quadrature)
+    d = SenderDist(*shape)
+    path = SeparatingPath(baseline, z_l, d.zbar)
+    _, t_h = solve_top(baseline, d, path, 2.2)
+    assert resolve(baseline, d, z_l, 2.2).t_h == t_h
+    assert invert_cap(baseline, d, path, t_h).z_h == pytest.approx(2.2, abs=1e-8)
+    top = path.top_wage()
+    assert resolve(baseline, d, z_l, d.zbar).t_h == top
+    assert invert_cap(baseline, d, path, top).eq_class == SEPARATING
