@@ -97,6 +97,15 @@ class SenderDist:
             raise DomainError(f"quantile probability {p} outside [0, 1]")
         return self.zbar * float(betaincinv(self.alpha, self.beta_shape, p))
 
+    def _upper(self, p: float, x, y):
+        """int_c^zbar z^p g(z) dz from x = c/zbar and y = (zbar - c)/zbar in [0, 1]."""
+        a, b = self.alpha, self.beta_shape
+        if a + p > 0.0:
+            ratio = math.exp(betaln(a + p, b) - betaln(a, b))
+            return self.zbar**p * ratio * betaincc(a + p, b, x)
+        tail = y**b / b * hyp2f1(b, 1.0 - a - p, b + 1.0, y)
+        return self.zbar**p * tail / math.exp(betaln(a, b))
+
     def partial_moment(self, c: float, p: float) -> float:
         """Upper partial moment int_c^zbar z^p g(z) dz."""
         if not -_SUPPORT_TOL <= c <= self.zbar + _SUPPORT_TOL:
@@ -109,12 +118,8 @@ class SenderDist:
         x = self._unit(c)
         if x >= 1.0:
             return 0.0
-        if a + p > 0.0:
-            ratio = math.exp(betaln(a + p, b) - betaln(a, b))
-            return self.zbar**p * ratio * float(betaincc(a + p, b, x))
-        y = (self.zbar - c) / self.zbar  # exact difference near zbar, unlike 1 - x
-        tail = y**b / b * float(hyp2f1(b, 1.0 - a - p, b + 1.0, y))
-        return self.zbar**p * tail / math.exp(betaln(a, b))
+        # (zbar - c) / zbar is exact near zbar, unlike 1 - x.
+        return float(self._upper(p, x, (self.zbar - c) / self.zbar))
 
     def trunc_mean(self, c: float) -> float:
         """Conditional mean E[z | z >= c] = partial_moment(c, 1) / P(z >= c)."""
@@ -130,3 +135,25 @@ class SenderDist:
                 f"tail mass above {c:g} is below 1e-12; conditional mean is ill-posed"
             )
         return self.partial_moment(c, 1.0) / mass
+
+    def tail_moments(
+        self, c: np.ndarray, q: float
+    ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """E[z|z>=c], int_c^zbar z^q g and int_{max(c, EFFECTIVE_ZERO)}^zbar g/z.
+
+        The array twin of ``trunc_mean`` and ``partial_moment`` (same closed
+        forms) for lower limits c in [0, zbar] and q >= 0. Where ``trunc_mean``
+        raises, the tail mass is below 1e-12 and all three are NaN.
+        """
+        zbar = self.zbar
+        c = np.asarray(c, dtype=float)
+        c_inv = np.maximum(c, EFFECTIVE_ZERO)
+        x, y = c / zbar, (zbar - c) / zbar
+        mass = betaincc(self.alpha, self.beta_shape, x)
+        pm_1 = self._upper(1.0, x, y)
+        with np.errstate(divide="ignore", invalid="ignore"):
+            ez = np.where(c >= zbar - _SUPPORT_TOL, zbar, pm_1 / mass)
+        thin = (mass < 1e-12) & (c < zbar - _SUPPORT_TOL)
+        pm_q = pm_1 if q == 1.0 else self._upper(q, x, y)
+        pm_inv = self._upper(-1.0, c_inv / zbar, (zbar - c_inv) / zbar)
+        return tuple(np.where(thin, np.nan, m) for m in (ez, pm_q, pm_inv))

@@ -2,19 +2,22 @@
 
 The optimum of {0 <= z_l <= z_h <= zbar} lies on the z_l = 0 edge
 (Pi_w(0, z_h)) or on the pooling diagonal (Pi_p(z)), so only those two lines
-are searched. Stage one scans both on a regular grid, 2n - 1 cells in all.
-Stage two refines both by golden-section search in one dimension: along the
-edge from its best cell and along the diagonal from its best cell. The grid
-best's own branch comes first; the other branch replaces its result only if
-it wins by more than the tie tolerance. Everything is deterministic;
-rerunning a configuration reproduces the result bitwise.
+are searched, each through one array-valued objective (``surplus.pi_w_edge``
+and ``surplus.pi_p_many``). Stage one scans both on a regular grid, 2n - 1
+cells in all, one objective call per line. Stage two refines both lines in
+batches, from the best cell of each: a zoom round of _ZOOM points across the
+two grid cells around it, then safeguarded parabolic steps, each evaluating a
+three-point stencil of width tol, until a stencil's middle is its best point.
+That takes three objective calls on most lines. The grid best's own branch
+comes first; the other branch replaces its result only if it wins by more
+than the tie tolerance. Everything is deterministic; rerunning a
+configuration reproduces the result bitwise.
 
-The edge scan is one batch: the separating parts Pi_w(0, z_h) come from
-``surplus.sep_part``'s closed form (one regularized incomplete beta per
-column), the pooled actions from one array root solve. The diagonal is one
-array expression for the pooled action s*(z). The pooling-tail integrals
-depend on z_h only (cached per column); a column whose tail is too thin for a
-conditional mean holds no pooling value (NaN) and is skipped. No stage calls
+On the edge the separating part is ``surplus.sep_part``'s closed form and
+the pooled actions come from one array root solve; on the diagonal the
+pooled action s*(z) is one array expression. The pooling-tail integrals are
+``SenderDist.tail_moments``. A point whose tail is too thin for a
+conditional mean holds no pooling value (NaN) and never wins. No stage calls
 adaptive quadrature.
 """
 
@@ -28,11 +31,13 @@ import numpy as np
 from . import surplus as sp
 from . import thresholds as th
 from .distributions import EFFECTIVE_ZERO, SenderDist
-from .errors import ConfigError, ConvergenceError, DegenerateTailError
+from .errors import ConfigError, ConvergenceError
 from .model import ModelParams
-from .separating import SeparatingPath
 
-_GOLDEN = (np.sqrt(5.0) - 1.0) / 2.0
+_ZOOM = 25  # points per zoom round; odd, so a centred best cell is one of them
+_MAX_ROUNDS = 100
+# Relative size a stencil's second difference needs to stand clear of rounding.
+_NOISE = 1e-12
 _TIE_TOL = 1e-9
 _FLAT_TOL = 1e-10
 _CERT_TOL = 1e-8
@@ -64,55 +69,16 @@ class _Scan:
     """Objective values on the z_l = 0 edge and the pooling diagonal.
 
     ``edge[j]`` is Pi_w(0, grid[j]) and ``diag[i]`` is Pi_p(grid[i]); the
-    corner (0, 0) lies on both. Cached per optimize() call.
+    corner (0, 0) lies on both. A column whose tail is too thin for a
+    conditional mean holds NaN and is skipped.
     """
 
     def __init__(self, p: ModelParams, d: SenderDist, n: int):
-        self.p, self.d, self.n = p, d, n
+        self.n = n
         self.grid = np.linspace(0.0, d.zbar, n)
-        self.edge = np.full(n, np.nan)
-        self.diag = np.full(n, np.nan)
         self.n_evals = 2 * n - 1
-        # Column data: tail integrals depend on z_h alone. A column whose tail
-        # is too thin for a conditional mean keeps NaN: it holds no pooling value.
-        self.ez = np.full(n, np.nan)
-        self.pm_q = np.full(n, np.nan)
-        self.pm_inv = np.full(n, np.nan)
-        for j in range(n - 1):
-            z = self.grid[j]
-            try:
-                self.ez[j] = d.trunc_mean(z)
-            except DegenerateTailError:
-                continue
-            self.pm_q[j] = d.partial_moment(z, p.q)
-            self.pm_inv[j] = d.partial_moment(max(z, EFFECTIVE_ZERO), -1.0)
-        self.ez[n - 1] = d.zbar
-        self.pm_q[n - 1] = 0.0
-        self.pm_inv[n - 1] = 0.0
-
-    def run(self) -> None:
-        p, d, grid = self.p, self.d, self.grid
-        ez, pm_q, pm_inv = self.ez[:-1], self.pm_q[:-1], self.pm_inv[:-1]
-        # Diagonal: pooling_star's pooled action s*(z), zero at the z = 0 corner.
-        s_star = (
-            grid[:-1] ** (p.q + 1.0) * p.A * p.k * ez / p.beta_cost
-        ) ** (1.0 / (2.0 - p.a))
-        s_star[grid[:-1] < EFFECTIVE_ZERO] = 0.0
-        self.diag[:-1] = sp.pool_part(p, d, grid[:-1], s_star, pm_q, pm_inv, ez)
-        self.diag[-1] = 0.0  # empty market corner
-        # Edge: separating over (0, z_j], pooled at s_h(z_j) above it; the
-        # z_h = zbar column has no pooling part.
-        path = SeparatingPath(p, 0.0, d.zbar)
-        sep = sp.sep_part(p, d, path, 0.0, grid[1:])
-        pools = np.isfinite(ez[1:])
-        s_h = np.full(self.n - 2, np.nan)
-        s_h[pools] = th.pooled_action_many(
-            p, path.sigma_many(grid[1:-1][pools]), grid[1:-1][pools], ez[1:][pools]
-        )
-        pool = sp.pool_part(p, d, grid[1:-1], s_h, pm_q[1:], pm_inv[1:], ez[1:])
-        self.edge[0] = self.diag[0]
-        self.edge[1:-1] = sep[:-1] + pool
-        self.edge[-1] = sep[-1]
+        self.diag = sp.pi_p_many(p, d, self.grid)
+        self.edge = np.concatenate((self.diag[:1], sp.pi_w_edge(p, d, self.grid[1:])))
 
     def best(self) -> tuple[int, int, float, bool, bool]:
         """Best scanned cell: value first, then larger z_h, then smaller z_l."""
@@ -142,26 +108,62 @@ def _last_best(values: np.ndarray) -> int:
     return int(np.flatnonzero(values >= np.nanmax(values) - _TIE_TOL)[-1])
 
 
-def _golden_max(
-    f: Callable[[float], float], a: float, b: float, tol: float
+def _vertex(x: np.ndarray, f: np.ndarray) -> float | None:
+    """Vertex of the parabola through three points, None unless it is concave."""
+    s01 = (f[1] - f[0]) / (x[1] - x[0])
+    s12 = (f[2] - f[1]) / (x[2] - x[1])
+    curve = (s12 - s01) / (x[2] - x[0])
+    if not curve < 0.0:
+        return None
+    return 0.5 * (x[0] + x[1]) - s01 / (2.0 * curve)
+
+
+def _refine_max(
+    f: Callable[[np.ndarray], np.ndarray], lo: float, hi: float, tol: float
 ) -> tuple[float, float, int]:
-    """Deterministic golden-section maximization on [a, b]."""
-    x1 = b - _GOLDEN * (b - a)
-    x2 = a + _GOLDEN * (b - a)
-    f1, f2 = f(x1), f(x2)
-    n = 2
-    while b - a > tol:
-        if f1 < f2:
-            a, x1, f1 = x1, x2, f2
-            x2 = a + _GOLDEN * (b - a)
-            f2 = f(x2)
+    """Maximize a unimodal objective on [lo, hi] to within tol, in batches.
+
+    ``f`` maps an array of points to their values; NaN never wins. The
+    bracket is the interval between the best point's neighbours among all
+    points evaluated so far. A parabolic round evaluates the stencil
+    {v - tol/2, v, v + tol/2}, clipped to the bracket, around the vertex v of
+    a parabola: through the last stencil (a Newton step), or after a zoom
+    through the best point and its neighbours. It runs when that parabola is
+    concave with v inside the bracket and the step to v is less than half
+    the step before last (Brent's safeguard); otherwise a zoom round
+    evaluates _ZOOM points across the bracket. The search stops once the
+    bracket is at most tol wide or a stencil's middle is the best point: for
+    a unimodal objective the argmax then lies within tol of it. Returns the
+    best point, its value and the number of distinct points evaluated.
+    """
+    x = np.linspace(lo, hi, _ZOOM)
+    fx = f(x)
+    xs, fs = x, fx
+    steps = [hi - lo, hi - lo]
+    v = None
+    for _ in range(_MAX_ROUNDS):
+        k = int(np.argmax(np.where(np.isnan(fs), -np.inf, fs)))
+        left, right = xs[max(k - 1, 0)], xs[min(k + 1, xs.size - 1)]
+        if right - left <= tol or xs[k] == v:
+            return float(xs[k]), float(fs[k]), xs.size
+        v = None
+        if x.size == 3 and abs(fx[0] - 2.0 * fx[1] + fx[2]) >= _NOISE * abs(fx[1]):
+            v = _vertex(x, fx)
+        elif 0 < k < xs.size - 1:
+            v = _vertex(xs[k - 1:k + 2], fs[k - 1:k + 2])
+        if v is not None and left < v < right and abs(v - xs[k]) < 0.5 * steps[-2]:
+            steps.append(abs(v - xs[k]))
+            x = np.array([v - 0.5 * tol, v, v + 0.5 * tol])
+            x = x[(x > left) & (x < right)]
         else:
-            b, x2, f2 = x2, x1, f1
-            x1 = b - _GOLDEN * (b - a)
-            f1 = f(x1)
-        n += 1
-    x = 0.5 * (a + b)
-    return x, f(x), n + 1
+            v = None
+            steps.append(right - left)
+            x = np.linspace(left, right, _ZOOM)[1:-1]
+        fx = f(x)
+        # A point evaluated twice keeps its first value.
+        xs, first = np.unique(np.concatenate((xs, x)), return_index=True)
+        fs = np.concatenate((fs, fx))[first]
+    raise ConvergenceError(f"refinement on [{lo}, {hi}] did not converge")
 
 
 def optimize(
@@ -170,7 +172,6 @@ def optimize(
     """Solve the planner's problem: argmax of the net surplus over thresholds."""
     opts = opts or OptimizerOptions()
     sweep = _Scan(p, d, opts.grid)
-    sweep.run()
     gi, gj, g_val, tie_break, flat = sweep.best()
     grid = sweep.grid
     z_l, z_h, val = grid[gi], grid[gj], g_val
@@ -189,19 +190,19 @@ def optimize(
         i, j = sweep.best_diagonal_cell(), sweep.best_edge_column()
         diagonal = (
             "golden-diagonal", lambda z: (z, z),
+            lambda z: sp.pi_p_many(p, d, z),
             max(grid[max(i - 1, 0)], EFFECTIVE_ZERO),
             min(grid[min(i + 1, top)], d.zbar * (1.0 - 1e-12)),
         )
         edge = (
             "golden-edge", lambda z: (0.0, z),
+            lambda z: sp.pi_w_edge(p, d, z),
             max(grid[j - 1], EFFECTIVE_ZERO), grid[min(j + 1, top)],
         )
         branches = (diagonal, edge) if gi == gj else (edge, diagonal)
         method = branches[0][0]
-        for name, point, a, b in branches:
-            z, v, n_evals = _golden_max(
-                lambda x: sp.pi_w(p, d, *point(x)).total, a, b, opts.tol
-            )
+        for name, point, objective, a, b in branches:
+            z, v, n_evals = _refine_max(objective, a, b, opts.tol)
             refine_evals += n_evals
             if v > val + _TIE_TOL:
                 (z_l, z_h), val, method = point(z), v, name

@@ -86,32 +86,27 @@ def sep_part(
     return scale * (betainc(a, b, x_hi) - betainc(a, b, x_lo))
 
 
+def _pooled_net(p: ModelParams, s_h, ez, pm_q, pm_inv):
+    """A k s_h^a E[z|z>=z_h] int z^q g - beta s_h^2 int g/z over the pooled tail."""
+    return p.A * p.k * s_h**p.a * ez * pm_q - p.beta_cost * s_h**2 * pm_inv
+
+
 def pool_part(
-    p: ModelParams,
-    d: SenderDist,
-    z_h: float | np.ndarray,
-    s_h: float | np.ndarray,
-    pm_q: float | np.ndarray | None = None,
-    pm_inv: float | np.ndarray | None = None,
-    ez: float | np.ndarray | None = None,
+    p: ModelParams, d: SenderDist, z_h: float | np.ndarray, s_h: float | np.ndarray
 ) -> float | np.ndarray:
     """Net surplus of the pooled tail, given the pooled action s_h.
 
-    The 1/z integral is cut at EFFECTIVE_ZERO; with s_h = 0 the cost term is
-    identically zero, which covers the degenerate pooling-at-zero case where
-    the raw integral would diverge. Array-valued when z_h, s_h and the three
-    tail integrals are passed as arrays, with every z_h below the top guard.
+    The 1/z integral is cut at EFFECTIVE_ZERO, so with s_h = 0 the cost term
+    is exactly zero, which covers the degenerate pooling-at-zero case where
+    the raw integral would diverge. Zero within the top guard of zbar; NaN
+    where the tail is too thin for a conditional mean.
     """
-    if np.ndim(z_h) == 0 and z_h >= d.zbar - _TOP_GUARD:
-        return 0.0
-    ez = d.trunc_mean(z_h) if ez is None else ez
-    pm_q = d.partial_moment(z_h, p.q) if pm_q is None else pm_q
-    gross = p.A * p.k * s_h**p.a * ez * pm_q
-    if np.ndim(s_h) == 0 and s_h == 0.0:
-        return gross
-    if pm_inv is None:
-        pm_inv = d.partial_moment(max(z_h, EFFECTIVE_ZERO), -1.0)
-    return gross - p.beta_cost * s_h**2 * pm_inv
+    out = np.where(
+        np.asarray(z_h) >= d.zbar - _TOP_GUARD,
+        0.0,
+        _pooled_net(p, s_h, *d.tail_moments(z_h, p.q)),
+    )
+    return float(out) if out.ndim == 0 else out
 
 
 def pi_w(p: ModelParams, d: SenderDist, z_l: float, z_h: float) -> SurplusBreakdown:
@@ -136,6 +131,41 @@ def pi_p(p: ModelParams, d: SenderDist, z_star: float) -> float:
     """Net surplus of the pure pooling equilibrium with entry threshold z*."""
     s_star, _ = thresholds.pooling_star(p, d, z_star)
     return pool_part(p, d, z_star, s_star)
+
+
+def pi_w_edge(p: ModelParams, d: SenderDist, z_h: np.ndarray) -> np.ndarray:
+    """Pi_w(0, z_h) at many z_h > 0 in one batch: ``pi_w(p, d, 0, z_h).total``.
+
+    NaN where the tail above z_h is too thin to pool, where ``pi_w`` raises.
+    """
+    z_h = np.asarray(z_h, dtype=float)
+    path = SeparatingPath(p, 0.0, d.zbar)
+    top = z_h >= d.zbar - _TOP_GUARD
+    sep = sep_part(p, d, path, 0.0, np.where(top, d.zbar, z_h))
+    ez, pm_q, pm_inv = d.tail_moments(z_h, p.q)
+    pools = ~top & np.isfinite(ez)
+    s_h = np.full_like(z_h, np.nan)
+    s_h[pools] = thresholds.pooled_action_many(
+        p, path.sigma_many(z_h[pools]), z_h[pools], ez[pools]
+    )
+    return sep + np.where(top, 0.0, _pooled_net(p, s_h, ez, pm_q, pm_inv))
+
+
+def pi_p_many(p: ModelParams, d: SenderDist, z_star: np.ndarray) -> np.ndarray:
+    """Pi_p(z*) at many z* in [0, zbar] in one batch: ``pi_p(p, d, z*)``.
+
+    The pooled action is ``pooling_star``'s closed form, zero below
+    EFFECTIVE_ZERO. NaN where the tail above z* is too thin to pool.
+    """
+    z_star = np.asarray(z_star, dtype=float)
+    ez, pm_q, pm_inv = d.tail_moments(z_star, p.q)
+    s_star = (
+        z_star ** (p.q + 1.0) * p.A * p.k * ez / p.beta_cost
+    ) ** (1.0 / (2.0 - p.a))
+    s_star = np.where(z_star < EFFECTIVE_ZERO, 0.0, s_star)
+    return np.where(
+        z_star >= d.zbar - _TOP_GUARD, 0.0, _pooled_net(p, s_star, ez, pm_q, pm_inv)
+    )
 
 
 def pi_s(p: ModelParams, d: SenderDist, z_l: float = 0.0) -> float:

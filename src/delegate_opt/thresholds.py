@@ -152,9 +152,10 @@ def pooled_action_many(
 
     The residual is concave in s, so Newton started right of the larger root
     decreases monotonically onto it; (c1/c2)^(1/(2-a)) is such a start
-    wherever rhs >= 0, and doubling covers the rest. A bisection guard keeps
-    every step inside the bracket, and the stop test is ``pooled_action``'s
-    root tolerance. Every z_h must lie strictly inside (z_l, zbar - 1e-9).
+    wherever rhs >= 0, and doubling covers the rest. The larger root lies
+    right of the residual's maximum, so no step meets a zero slope. The stop
+    test is ``pooled_action``'s root tolerance. Every z_h must lie strictly
+    inside (z_l, zbar - 1e-9).
     """
     # pooled_action's residual, written as c1 s^a - c2 s^2 - rhs.
     c1 = p.A * p.k * z_h**p.q * ez
@@ -164,8 +165,7 @@ def pooled_action_many(
     def resid(s: np.ndarray) -> np.ndarray:
         return c1 * s**p.a - c2 * s**2 - rhs
 
-    lo = sig * (1.0 + 1e-10)
-    bad = ~(resid(lo) >= 0.0)
+    bad = ~(resid(sig * (1.0 + 1e-10)) >= 0.0)
     if np.any(bad):
         raise _no_crossing(z_h[bad][0])
     hi = np.maximum((c1 / c2) ** (1.0 / (2.0 - p.a)), np.maximum(2.0 * sig, 1e-12))
@@ -178,14 +178,11 @@ def pooled_action_many(
         raise ConvergenceError("no upper bracket for the pooled actions")
     s = hi
     for _ in range(100):
-        r = resid(s)
-        lo = np.where(r > 0.0, s, lo)
-        hi = np.where(r < 0.0, s, hi)
-        s_new = s - r / (p.a * c1 * s ** (p.a - 1.0) - 2.0 * c2 * s)
-        s_new = np.where((s_new < lo) | (s_new > hi), 0.5 * (lo + hi), s_new)
-        if np.all(np.abs(s_new - s) <= 1e-14 + 1e-12 * s_new):
-            return s_new
-        s = s_new
+        s_a = s**p.a
+        step = (c1 * s_a - c2 * s * s - rhs) / (p.a * c1 * s_a / s - 2.0 * c2 * s)
+        s = s - step
+        if (np.abs(step) <= 1e-14 + 1e-12 * s).all():
+            return s
     raise ConvergenceError("pooled-action Newton iteration did not converge")
 
 

@@ -5,12 +5,13 @@ import pytest
 from scipy.special import roots_legendre
 
 from delegate_opt import ModelParams, SenderDist, SeparatingPath
-from delegate_opt.distributions import EFFECTIVE_ZERO
 from delegate_opt.quadrature import ABS_TOL, REL_TOL
 from delegate_opt.surplus import pool_part, sep_part
 from delegate_opt.thresholds import pooled_action_many, pooling_star
 
 BASELINE_SHAPES = ((1, 1), (5, 5), (3, 5), (5, 3))
+# The design shapes plus an endpoint-singular one and a U-shaped one.
+AGREEMENT_SHAPES = BASELINE_SHAPES + ((2, 0.5), (0.7, 0.7))
 # Gauss-Legendre rules on [-1, 1]: the 20-point rule gives a cell's value and
 # the 10-point rule its error estimate.
 _X20, _W20 = roots_legendre(20)
@@ -81,10 +82,6 @@ def brute_force_triangle(p: ModelParams, d: SenderDist, n: int) -> np.ndarray:
     """
     grid = np.linspace(0.0, d.zbar, n)
     ez = np.array([d.trunc_mean(z) for z in grid[:-1]] + [d.zbar])
-    pm_q = np.array([d.partial_moment(z, p.q) for z in grid[:-1]] + [0.0])
-    pm_inv = np.array(
-        [d.partial_moment(max(z, EFFECTIVE_ZERO), -1.0) for z in grid[:-1]] + [0.0]
-    )
     values = np.full((n, n), np.nan)
     for i in range(n - 1):
         path = SeparatingPath(p, grid[i], d.zbar)
@@ -95,10 +92,7 @@ def brute_force_triangle(p: ModelParams, d: SenderDist, n: int) -> np.ndarray:
         # sigma_many's Newton stop test cannot reduce an empty array.
         sig = path.sigma_many(grid[i + 1:])[:-1]
         s_h = pooled_action_many(p, sig, grid[i + 1:-1], ez[i + 1:-1])
-        pool = pool_part(
-            p, d, grid[i:-1], np.concatenate(([s_star], s_h)),
-            pm_q[i:-1], pm_inv[i:-1], ez[i:-1],
-        )
+        pool = pool_part(p, d, grid[i:-1], np.concatenate(([s_star], s_h)))
         values[i, i] = pool[0]
         values[i, i + 1:-1] = cum[:-1] + pool[1:]
         values[i, -1] = cum[-1]

@@ -7,10 +7,10 @@ import pytest
 from scipy.integrate import quad
 from scipy.special import betaln
 
-from delegate_opt.distributions import SenderDist
+from delegate_opt.distributions import EFFECTIVE_ZERO, SenderDist
 from delegate_opt.errors import ConfigError, DegenerateTailError, DomainError
 
-from conftest import BASELINE_SHAPES
+from conftest import AGREEMENT_SHAPES, BASELINE_SHAPES
 
 
 def uniform_partial_moment(c: float, p: float, zbar: float = 3.0) -> float:
@@ -195,6 +195,31 @@ class TestTruncMean:
         assert d.trunc_mean(3.0 - 1e-12) == 3.0
         with pytest.raises(DegenerateTailError):
             d.trunc_mean(3.0 - 1e-6)
+
+
+@pytest.mark.parametrize("q", [1.0, 1.3])
+@pytest.mark.parametrize("shape", AGREEMENT_SHAPES)
+def test_tail_moments_match_scalar(shape, q):
+    # The array twin of trunc_mean and partial_moment: the same values, and
+    # NaN exactly where trunc_mean finds the tail too thin.
+    d = SenderDist(*shape, 3)
+    c = np.concatenate((
+        np.linspace(0.0, 3.0, 61),
+        np.random.default_rng(7).uniform(0.0, 3.0, 40),
+        3.0 - np.geomspace(1e-8, 0.5, 20),
+    ))
+    ez, pm_q, pm_inv = d.tail_moments(c, q)
+    for i, x in enumerate(c):
+        try:
+            want = d.trunc_mean(x)
+        except DegenerateTailError:
+            assert np.isnan([ez[i], pm_q[i], pm_inv[i]]).all()
+            continue
+        pm_inv_want = d.partial_moment(max(x, EFFECTIVE_ZERO), -1.0)
+        np.testing.assert_allclose(
+            [ez[i], pm_q[i], pm_inv[i]], [want, d.partial_moment(x, q), pm_inv_want],
+            rtol=1e-14, atol=0.0,
+        )
 
 
 def test_invalid_shapes_rejected():

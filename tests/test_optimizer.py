@@ -1,16 +1,19 @@
 from __future__ import annotations
 
 import dataclasses
+from collections import Counter
 
 import numpy as np
 import pytest
+from scipy.optimize import minimize_scalar
 
-from delegate_opt import ModelParams, SenderDist, SeparatingPath, optimize, pi_s
+from delegate_opt import ModelParams, SenderDist, SeparatingPath, optimize, pi_s, pi_w
 from delegate_opt import distributions, quadrature, separating
 from delegate_opt import surplus as sp
 from delegate_opt.cli import main
 from delegate_opt.errors import ConfigError, ConvergenceError
-from delegate_opt.harness import run_config
+from delegate_opt.distributions import EFFECTIVE_ZERO
+from delegate_opt.harness import load_golden, run_config
 from delegate_opt.optimizer import OptimizerOptions
 from delegate_opt.surplus import sep_part
 from delegate_opt.thresholds import POOLING, STRICTLY_WELL_BEHAVED
@@ -208,6 +211,54 @@ def test_thin_tail_columns_are_skipped():
     out = optimize(p, d)
     assert out.thresholds.z_l <= out.thresholds.z_h
     assert out.surplus.total >= pi_s(p, d) - 1e-8
+
+
+def test_thin_tail_inside_edge_bracket_solves():
+    # The best edge column borders the thin tail (mass above z = 0.9897 below
+    # 1e-12), so the refinement's bracket reaches into it, where the edge
+    # objective has no pooling value: such points never win.
+    p = ModelParams(A=0.5, beta_cost=0.2, a=0.6736, k=0.5, q=1.9786)
+    d = SenderDist(2.2615, 6.6962, 1.0)
+    out = optimize(p, d)
+    assert out.surplus.total >= pi_s(p, d) - 1e-8
+    assert out.diagnostics["certificate"] >= -1e-8
+
+
+@pytest.mark.parametrize("shape", BASELINE_SHAPES)
+def test_refined_edge_optimum_matches_reference(baseline, shape):
+    # Against a bounded scalar search on pi_w over the same bracket: the two
+    # grid cells around the best scanned edge column.
+    d = SenderDist(*shape, 3)
+    opts = OptimizerOptions()
+    grid = np.linspace(0.0, d.zbar, opts.grid)
+    edge = np.array([pi_w(baseline, d, 0.0, z).total for z in grid[1:]])
+    j = int(np.flatnonzero(edge >= edge.max() - 1e-9)[-1]) + 1
+    ref = minimize_scalar(
+        lambda z: -pi_w(baseline, d, 0.0, z).total,
+        bounds=(max(grid[j - 1], EFFECTIVE_ZERO), grid[min(j + 1, opts.grid - 1)]),
+        method="bounded", options={"xatol": 1e-10},
+    )
+    out = optimize(baseline, d, opts)
+    assert out.diagnostics["refine_method"] == "golden-edge"
+    assert abs(out.thresholds.z_h - ref.x) <= opts.tol
+
+
+def test_refinement_call_budget(monkeypatch):
+    # Batched refinement: a few array objective calls per line, counted (not
+    # timed) over all 311 design rows. The first call on each line is the scan.
+    calls = Counter()
+    for name in ("pi_w_edge", "pi_p_many"):
+        def counted(*args, inner=getattr(sp, name), name=name):
+            calls[name] += 1
+            return inner(*args)
+
+        monkeypatch.setattr(sp, name, counted)
+    for g in load_golden():
+        calls.clear()
+        d = SenderDist(g.alpha, g.beta_shape, g.zbar)
+        optimize(ModelParams(a=g.a, k=g.k, q=g.q), d)
+        assert 2 <= calls["pi_w_edge"] <= 7, g.key()
+        assert 2 <= calls["pi_p_many"] <= 7, g.key()
 
 
 def test_tiny_signal_productivity_solves():

@@ -6,7 +6,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from delegate_opt import ModelParams, SenderDist, optimize, pi_s
-from delegate_opt.errors import DelegateOptError
 
 
 def _floats(lo: float, hi: float) -> st.SearchStrategy[float]:
@@ -24,15 +23,12 @@ def _floats(lo: float, hi: float) -> st.SearchStrategy[float]:
     beta_shape=_floats(0.3, 8.0),
     zbar=_floats(1.0, 4.0),
 )
-def test_optimize_meets_invariants_or_raises_typed(
+def test_optimize_meets_invariants(
     A, beta_cost, a, k, q, alpha, beta_shape, zbar
 ):
     p = ModelParams(A=A, beta_cost=beta_cost, a=a, k=k, q=q)
     d = SenderDist(alpha, beta_shape, zbar)
-    try:
-        out = optimize(p, d)
-    except DelegateOptError:
-        return
+    out = optimize(p, d)
     rec = out.thresholds
     assert rec.z_l <= rec.z_h
     assert rec.t_l <= rec.t_h

@@ -17,10 +17,12 @@ from delegate_opt import (
     pi_w,
     well_behaved_gain,
 )
+from delegate_opt.distributions import EFFECTIVE_ZERO
+from delegate_opt.errors import DegenerateTailError
 from delegate_opt.thresholds import pooled_action
-from delegate_opt.surplus import pool_part, sep_part
+from delegate_opt.surplus import pi_p_many, pi_w_edge, pool_part, sep_part
 
-from conftest import BASELINE_SHAPES, random_admissible
+from conftest import AGREEMENT_SHAPES, BASELINE_SHAPES, random_admissible
 
 
 def uniform_oracle_parts(z_h: float, s_h: float) -> tuple[float, float]:
@@ -210,6 +212,25 @@ class TestWellBehavedGain:
             full = pi_s(p, d)
             grid = np.linspace(3.0 / 50.0, 3.0 * 49.0 / 50.0, 49)
             assert any(pi_p(p, d, float(z)) > full for z in grid)
+
+
+@pytest.mark.parametrize("shape", AGREEMENT_SHAPES)
+def test_batched_lines_match_scalar(shape):
+    # The edge Pi_w(0, z) and the diagonal Pi_p(z) in one batch each, at
+    # seeded points plus the top guard and the thin tail near zbar (NaN
+    # exactly where the scalar functions raise).
+    rng = np.random.default_rng(5)
+    d = SenderDist(*shape, 3)
+    z = np.append(rng.uniform(EFFECTIVE_ZERO, 3.0, 25), [3.0 - 1e-3, 3.0 - 1e-10])
+    for p in (ModelParams(), random_admissible(rng), random_admissible(rng)):
+        edge, diag = pi_w_edge(p, d, z), pi_p_many(p, d, z)
+        for zi, e, g in zip(z, edge, diag):
+            try:
+                want = (pi_w(p, d, 0.0, float(zi)).total, pi_p(p, d, float(zi)))
+            except DegenerateTailError:
+                assert np.isnan(e) and np.isnan(g)
+                continue
+            np.testing.assert_allclose([e, g], want, rtol=1e-12, atol=0.0)
 
 
 def test_pool_part_zero_action_has_no_cost(uniform3):
