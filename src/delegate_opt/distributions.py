@@ -18,7 +18,13 @@ parameter is not positive, written with the Gauss hypergeometric function:
     int_c^zbar z^p g(z) dz = zbar^p y^beta / beta
                              * 2F1(beta, 1-alpha-p; beta+1; y) / B(alpha, beta)
 
-with y = 1 - c/zbar. No moment uses quadrature.
+with y = 1 - c/zbar. No moment uses quadrature. The tail mean is its gap to
+the top, exact however thin the tail (1 - z/zbar is Beta(beta, alpha)):
+
+    zbar - E[z|z>=c] = zbar beta/(alpha+beta) I_y(beta+1, alpha) / I_y(beta, alpha)
+
+or the gap's limit (zbar - c) beta/(beta+1) where the numerator is below the
+smallest normal float.
 """
 
 from __future__ import annotations
@@ -29,13 +35,14 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.special import betainc, betaincc, betaincinv, betaln, hyp2f1
 
-from .errors import ConfigError, DegenerateTailError, DomainError
+from .errors import ConfigError, DomainError
 
 # Thresholds and lower limits below this are treated as exactly zero; 1/z
 # integrands are cut at it instead.
 EFFECTIVE_ZERO = 1e-6
 
 _SUPPORT_TOL = 1e-9
+_TINY = np.finfo(float).tiny
 
 
 @dataclass(frozen=True)
@@ -121,20 +128,26 @@ class SenderDist:
         # (zbar - c) / zbar is exact near zbar, unlike 1 - x.
         return float(self._upper(p, x, (self.zbar - c) / self.zbar))
 
+    def _gap(self, y):
+        """zbar - E[z|z>=c] from y = (zbar - c)/zbar, scalar or array.
+
+        Unlike 1 - c/zbar, that y is exact near zbar.
+        """
+        a, b = self.alpha, self.beta_shape
+        num = betainc(b + 1.0, a, y)
+        # I_y(b+1, a) <= I_y(b, a) (DLMF 8.17.20), so the floor only acts
+        # where the limit replaces the ratio, and keeps 0/0 out there.
+        ratio = num / np.maximum(betainc(b, a, y), _TINY)
+        limit = y * b / (b + 1.0)
+        return self.zbar * np.where(num < _TINY, limit, b / (a + b) * ratio)
+
     def trunc_mean(self, c: float) -> float:
-        """Conditional mean E[z | z >= c] = partial_moment(c, 1) / P(z >= c)."""
-        if not -_SUPPORT_TOL <= c < self.zbar:
-            if abs(c - self.zbar) <= _SUPPORT_TOL:
-                return self.zbar
-            raise DomainError(f"threshold {c} outside [0, {self.zbar})")
+        """Conditional mean E[z | z >= c]."""
+        if not -_SUPPORT_TOL <= c <= self.zbar + _SUPPORT_TOL:
+            raise DomainError(f"threshold {c} outside [0, {self.zbar}]")
         if c >= self.zbar - _SUPPORT_TOL:
             return self.zbar
-        mass = float(betaincc(self.alpha, self.beta_shape, self._unit(c)))
-        if mass < 1e-12:
-            raise DegenerateTailError(
-                f"tail mass above {c:g} is below 1e-12; conditional mean is ill-posed"
-            )
-        return self.partial_moment(c, 1.0) / mass
+        return float(self.zbar - self._gap((self.zbar - max(c, 0.0)) / self.zbar))
 
     def tail_moments(
         self, c: np.ndarray, q: float
@@ -142,18 +155,13 @@ class SenderDist:
         """E[z|z>=c], int_c^zbar z^q g and int_{max(c, EFFECTIVE_ZERO)}^zbar g/z.
 
         The array twin of ``trunc_mean`` and ``partial_moment`` (same closed
-        forms) for lower limits c in [0, zbar] and q >= 0. Where ``trunc_mean``
-        raises, the tail mass is below 1e-12 and all three are NaN.
+        forms) for lower limits c in [0, zbar] and q >= 0.
         """
         zbar = self.zbar
         c = np.asarray(c, dtype=float)
         c_inv = np.maximum(c, EFFECTIVE_ZERO)
         x, y = c / zbar, (zbar - c) / zbar
-        mass = betaincc(self.alpha, self.beta_shape, x)
-        pm_1 = self._upper(1.0, x, y)
-        with np.errstate(divide="ignore", invalid="ignore"):
-            ez = np.where(c >= zbar - _SUPPORT_TOL, zbar, pm_1 / mass)
-        thin = (mass < 1e-12) & (c < zbar - _SUPPORT_TOL)
-        pm_q = pm_1 if q == 1.0 else self._upper(q, x, y)
+        ez = np.where(c >= zbar - _SUPPORT_TOL, zbar, zbar - self._gap(y))
+        pm_q = self._upper(q, x, y)
         pm_inv = self._upper(-1.0, c_inv / zbar, (zbar - c_inv) / zbar)
-        return tuple(np.where(thin, np.nan, m) for m in (ez, pm_q, pm_inv))
+        return ez, pm_q, pm_inv

@@ -20,7 +20,7 @@ class ConvergenceError(DelegateOptError):
 
 
 class DegenerateTailError(DelegateOptError):
-    """Conditional-expectation query on a tail with vanishing probability mass."""
+    """No pooled action: the tail mean above z_h does not exceed z_h."""
 
 
 class InconsistencyError(DelegateOptError):

@@ -16,9 +16,9 @@ configuration reproduces the result bitwise.
 On the edge the separating part is ``surplus.sep_part``'s closed form and
 the pooled actions come from one array root solve; on the diagonal the
 pooled action s*(z) is one array expression. The pooling-tail integrals are
-``SenderDist.tail_moments``. A point whose tail is too thin for a
-conditional mean holds no pooling value (NaN) and never wins. No stage calls
-adaptive quadrature.
+``SenderDist.tail_moments``, computed once for the scanned grid, which both
+lines share, and once per refinement batch. No stage calls adaptive
+quadrature.
 """
 
 from __future__ import annotations
@@ -69,16 +69,17 @@ class _Scan:
     """Objective values on the z_l = 0 edge and the pooling diagonal.
 
     ``edge[j]`` is Pi_w(0, grid[j]) and ``diag[i]`` is Pi_p(grid[i]); the
-    corner (0, 0) lies on both. A column whose tail is too thin for a
-    conditional mean holds NaN and is skipped.
+    corner (0, 0) lies on both.
     """
 
     def __init__(self, p: ModelParams, d: SenderDist, n: int):
         self.n = n
         self.grid = np.linspace(0.0, d.zbar, n)
         self.n_evals = 2 * n - 1
-        self.diag = sp.pi_p_many(p, d, self.grid)
-        self.edge = np.concatenate((self.diag[:1], sp.pi_w_edge(p, d, self.grid[1:])))
+        moments = d.tail_moments(self.grid, p.q)
+        self.diag = sp.pi_p_many(p, d, self.grid, moments)
+        edge = sp.pi_w_edge(p, d, self.grid[1:], tuple(m[1:] for m in moments))
+        self.edge = np.concatenate((self.diag[:1], edge))
 
     def best(self) -> tuple[int, int, float, bool, bool]:
         """Best scanned cell: value first, then larger z_h, then smaller z_l."""
@@ -86,7 +87,7 @@ class _Scan:
         ii = np.concatenate((np.zeros(n, dtype=int), np.arange(1, n)))
         jj = np.concatenate((np.arange(n), np.arange(1, n)))
         values = np.concatenate((self.edge, self.diag[1:]))
-        vmax = np.nanmax(values)
+        vmax = values.max()
         tied = np.flatnonzero(values >= vmax - _TIE_TOL)
         k = min(tied, key=lambda t: (-jj[t], ii[t]))
         i, j = int(ii[k]), int(jj[k])
@@ -104,8 +105,8 @@ class _Scan:
 
 
 def _last_best(values: np.ndarray) -> int:
-    """Last index within the tie tolerance of the maximum; NaN never counts."""
-    return int(np.flatnonzero(values >= np.nanmax(values) - _TIE_TOL)[-1])
+    """Last index within the tie tolerance of the maximum."""
+    return int(np.flatnonzero(values >= values.max() - _TIE_TOL)[-1])
 
 
 def _vertex(x: np.ndarray, f: np.ndarray) -> float | None:
@@ -123,9 +124,9 @@ def _refine_max(
 ) -> tuple[float, float, int]:
     """Maximize a unimodal objective on [lo, hi] to within tol, in batches.
 
-    ``f`` maps an array of points to their values; NaN never wins. The
-    bracket is the interval between the best point's neighbours among all
-    points evaluated so far. A parabolic round evaluates the stencil
+    ``f`` maps an array of points to their values. The bracket is the
+    interval between the best point's neighbours among all points evaluated
+    so far. A parabolic round evaluates the stencil
     {v - tol/2, v, v + tol/2}, clipped to the bracket, around the vertex v of
     a parabola: through the last stencil (a Newton step), or after a zoom
     through the best point and its neighbours. It runs when that parabola is
@@ -142,7 +143,7 @@ def _refine_max(
     steps = [hi - lo, hi - lo]
     v = None
     for _ in range(_MAX_ROUNDS):
-        k = int(np.argmax(np.where(np.isnan(fs), -np.inf, fs)))
+        k = int(np.argmax(fs))
         left, right = xs[max(k - 1, 0)], xs[min(k + 1, xs.size - 1)]
         if right - left <= tol or xs[k] == v:
             return float(xs[k]), float(fs[k]), xs.size
@@ -190,13 +191,13 @@ def optimize(
         i, j = sweep.best_diagonal_cell(), sweep.best_edge_column()
         diagonal = (
             "golden-diagonal", lambda z: (z, z),
-            lambda z: sp.pi_p_many(p, d, z),
+            lambda z: sp.pi_p_many(p, d, z, d.tail_moments(z, p.q)),
             max(grid[max(i - 1, 0)], EFFECTIVE_ZERO),
             min(grid[min(i + 1, top)], d.zbar * (1.0 - 1e-12)),
         )
         edge = (
             "golden-edge", lambda z: (0.0, z),
-            lambda z: sp.pi_w_edge(p, d, z),
+            lambda z: sp.pi_w_edge(p, d, z, d.tail_moments(z, p.q)),
             max(grid[j - 1], EFFECTIVE_ZERO), grid[min(j + 1, top)],
         )
         branches = (diagonal, edge) if gi == gj else (edge, diagonal)

@@ -98,8 +98,7 @@ def pool_part(
 
     The 1/z integral is cut at EFFECTIVE_ZERO, so with s_h = 0 the cost term
     is exactly zero, which covers the degenerate pooling-at-zero case where
-    the raw integral would diverge. Zero within the top guard of zbar; NaN
-    where the tail is too thin for a conditional mean.
+    the raw integral would diverge. Zero within the top guard of zbar.
     """
     out = np.where(
         np.asarray(z_h) >= d.zbar - _TOP_GUARD,
@@ -133,32 +132,35 @@ def pi_p(p: ModelParams, d: SenderDist, z_star: float) -> float:
     return pool_part(p, d, z_star, s_star)
 
 
-def pi_w_edge(p: ModelParams, d: SenderDist, z_h: np.ndarray) -> np.ndarray:
+def pi_w_edge(
+    p: ModelParams, d: SenderDist, z_h: np.ndarray, moments: tuple
+) -> np.ndarray:
     """Pi_w(0, z_h) at many z_h > 0 in one batch: ``pi_w(p, d, 0, z_h).total``.
 
-    NaN where the tail above z_h is too thin to pool, where ``pi_w`` raises.
+    ``moments`` is ``d.tail_moments(z_h, p.q)``.
     """
     z_h = np.asarray(z_h, dtype=float)
+    ez, pm_q, pm_inv = moments
     path = SeparatingPath(p, 0.0, d.zbar)
     top = z_h >= d.zbar - _TOP_GUARD
     sep = sep_part(p, d, path, 0.0, np.where(top, d.zbar, z_h))
-    ez, pm_q, pm_inv = d.tail_moments(z_h, p.q)
-    pools = ~top & np.isfinite(ez)
-    s_h = np.full_like(z_h, np.nan)
-    s_h[pools] = thresholds.pooled_action_many(
-        p, path.sigma_many(z_h[pools]), z_h[pools], ez[pools]
+    s_h = np.zeros_like(z_h)
+    s_h[~top] = thresholds.pooled_action_many(
+        p, path.sigma_many(z_h[~top]), z_h[~top], ez[~top]
     )
     return sep + np.where(top, 0.0, _pooled_net(p, s_h, ez, pm_q, pm_inv))
 
 
-def pi_p_many(p: ModelParams, d: SenderDist, z_star: np.ndarray) -> np.ndarray:
+def pi_p_many(
+    p: ModelParams, d: SenderDist, z_star: np.ndarray, moments: tuple
+) -> np.ndarray:
     """Pi_p(z*) at many z* in [0, zbar] in one batch: ``pi_p(p, d, z*)``.
 
-    The pooled action is ``pooling_star``'s closed form, zero below
-    EFFECTIVE_ZERO. NaN where the tail above z* is too thin to pool.
+    ``moments`` is ``d.tail_moments(z_star, p.q)``. The pooled action is
+    ``pooling_star``'s closed form, zero below EFFECTIVE_ZERO.
     """
     z_star = np.asarray(z_star, dtype=float)
-    ez, pm_q, pm_inv = d.tail_moments(z_star, p.q)
+    ez, pm_q, pm_inv = moments
     s_star = (
         z_star ** (p.q + 1.0) * p.A * p.k * ez / p.beta_cost
     ) ** (1.0 / (2.0 - p.a))

@@ -30,7 +30,7 @@ STRICTLY_WELL_BEHAVED = "StrictlyWellBehaved"
 SEPARATING = "Separating"
 
 # z_h closer than this to zbar is classified Separating: the top system is
-# not solved (the conditional tail mean degenerates there) and the pooling
+# not solved (the conditional tail mean snaps to zbar there) and the pooling
 # part is empty.
 _TOP_GUARD = 1e-9
 _RETRIEVAL_RTOL = 1e-6
@@ -105,7 +105,7 @@ def _top_rhs(p: ModelParams, sig, z_h):
 def _no_crossing(z_h) -> DegenerateTailError:
     return DegenerateTailError(
         f"top indifference residual not positive just above sigma(z_h) at "
-        f"z_h={z_h}: the tail beyond it is too thin to pool"
+        f"z_h={z_h}: no pooled action exists (the tail mean must exceed z_h)"
     )
 
 
@@ -116,9 +116,9 @@ def pooled_action(
 
     The residual A k s^a z_h^q E[z|z>=z_h] - beta s^2/z_h - (same at sigma(z_h)
     with E replaced by z_h) is positive at sigma(z_h) and eventually negative,
-    so doubling the upper end always brackets the larger root. Where rounding
-    in a degenerate tail leaves it non-positive at sigma(z_h), no bracket
-    exists and DegenerateTailError is raised.
+    so doubling the upper end always brackets the larger root. Where it is
+    not positive just above sigma(z_h), as when the tail mean equals z_h, no
+    bracket exists and DegenerateTailError is raised.
     """
     if not path.z_l < z_h < d.zbar - _TOP_GUARD:
         raise DomainError(f"z_h={z_h} outside (z_l={path.z_l}, zbar-1e-9)")
@@ -155,7 +155,8 @@ def pooled_action_many(
     wherever rhs >= 0, and doubling covers the rest. The larger root lies
     right of the residual's maximum, so no step meets a zero slope. The stop
     test is ``pooled_action``'s root tolerance. Every z_h must lie strictly
-    inside (z_l, zbar - 1e-9).
+    inside (z_l, zbar - 1e-9). The residual at sigma(z_h) is exactly
+    A k sigma^a z_h^q (ez - z_h); where that is not positive, no root exists.
     """
     # pooled_action's residual, written as c1 s^a - c2 s^2 - rhs.
     c1 = p.A * p.k * z_h**p.q * ez
@@ -165,7 +166,7 @@ def pooled_action_many(
     def resid(s: np.ndarray) -> np.ndarray:
         return c1 * s**p.a - c2 * s**2 - rhs
 
-    bad = ~(resid(sig * (1.0 + 1e-10)) >= 0.0)
+    bad = ~(ez > z_h)
     if np.any(bad):
         raise _no_crossing(z_h[bad][0])
     hi = np.maximum((c1 / c2) ** (1.0 / (2.0 - p.a)), np.maximum(2.0 * sig, 1e-12))
@@ -285,10 +286,9 @@ def invert_cap(
     if t_h <= t_pool + 1e-12 * max(1.0, t_pool):
         return resolve(p, d, z_l, z_l)
 
-    # Largest z_h whose conditional tail mean is still well conditioned; the
-    # lower probe sits one EFFECTIVE_ZERO above z_l, where any root would be
-    # classified Pooling regardless.
-    z_cap = min(d.zbar - 1e-8, d.quantile(1.0 - 1e-10))
+    # The probes sit one EFFECTIVE_ZERO inside (z_l, zbar): a root beyond
+    # either would be classified Pooling or Separating regardless.
+    z_cap = d.zbar - EFFECTIVE_ZERO
     lo = z_l + EFFECTIVE_ZERO
 
     def gap(z: float) -> float:
@@ -299,10 +299,8 @@ def invert_cap(
         # Cap sits below the solvable band right above z_l; snap to pooling.
         return resolve(p, d, z_l, z_l)
     if g_hi < 0.0:
-        raise ConvergenceError(
-            f"cap t_h={t_h} lies in the degenerate tail band below the "
-            f"separating top wage {top:g}"
-        )
+        # Cap sits within EFFECTIVE_ZERO of zbar; snap to separating.
+        return resolve(p, d, z_l, d.zbar)
     z_h = brentq(gap, lo, z_cap, xtol=1e-12, rtol=8.9e-16)
     s_h, t_h_check = solve_top(p, d, path, z_h)
     eq_class = classify(z_l, z_h, d.zbar)

@@ -55,8 +55,8 @@ class TestSolve:
         )
 
     def test_thin_tail_reproducer_solves(self, tmp_path):
-        # The cap search probes z_h = zbar - 1e-8, where an error of 1e-8 in
-        # the tail mean leaves no pooled action.
+        # The cap search probes z_h = zbar - 1e-6, where the tail mean exceeds
+        # z_h by only 5e-7; a tail mean off by more leaves no pooled action.
         out = tmp_path / "rec.json"
         assert self.solve_thin_tail(tmp_path, "--out", str(out)) == 0
         rec = json.loads(out.read_text())

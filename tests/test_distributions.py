@@ -2,13 +2,14 @@ from __future__ import annotations
 
 import math
 
+import mpmath
 import numpy as np
 import pytest
 from scipy.integrate import quad
 from scipy.special import betaln
 
 from delegate_opt.distributions import EFFECTIVE_ZERO, SenderDist
-from delegate_opt.errors import ConfigError, DegenerateTailError, DomainError
+from delegate_opt.errors import ConfigError, DomainError
 
 from conftest import AGREEMENT_SHAPES, BASELINE_SHAPES
 
@@ -190,18 +191,47 @@ class TestTruncMean:
             d = SenderDist(*shape, 3)
             assert d.trunc_mean(-5e-10) == pytest.approx(d.mean, rel=1e-12)
 
-    def test_limit_guard(self):
-        d = SenderDist(5, 5, 3)
-        assert d.trunc_mean(3.0 - 1e-12) == 3.0
-        with pytest.raises(DegenerateTailError):
-            d.trunc_mean(3.0 - 1e-6)
+    def test_exact_thin_tails(self):
+        # Against a 50-digit reference from the lower regularized incomplete
+        # beta in y = (zbar - c)/zbar, down to tail masses far below 1e-12.
+        # E itself carries about ulp(zbar) of rounding, so the bound is
+        # absolute in zbar, not relative in E - c.
+        eps = np.finfo(float).eps
+        shapes = [(1, b, 3) for b in (0.34, 1, 5, 7.487)] + [
+            (1.463, 7.487, 3.728), (3, 5, 3), (0.4, 0.34, 2), (7.03, 0.34, 3.37),
+        ]
+        with mpmath.workdps(50):
+            for a, b, zbar in shapes:
+                d = SenderDist(a, b, zbar)
+                for c in zbar * (1.0 - np.geomspace(0.5, 1e-8, 30)):
+                    y = (mpmath.mpf(zbar) - mpmath.mpf(c)) / zbar
+                    if a == 1:
+                        want = c + zbar * y / (b + 1)
+                    else:
+                        ratio = mpmath.betainc(b + 1, a, 0, y, regularized=True) / (
+                            mpmath.betainc(b, a, 0, y, regularized=True)
+                        )
+                        want = zbar - zbar * mpmath.mpf(b) / (a + b) * ratio
+                    for got in (d.trunc_mean(c), d.tail_moments(c, 1.3)[0]):
+                        assert abs(float(got - want)) <= 4.0 * eps * zbar, (a, b, c)
+                        assert got > c
+        # Where I_y(41, 2) turns subnormal and then 0, the tail mean falls
+        # back to its limit c + (zbar - c)/(beta_shape + 1).
+        d = SenderDist(2, 40, 1)
+        w = np.geomspace(5e-9, 1e-6, 40)
+        scalar = np.array([d.trunc_mean(c) for c in 1.0 - w])
+        for ez in (scalar, d.tail_moments(1.0 - w, 1.0)[0]):
+            assert np.all(np.isfinite(ez))
+            np.testing.assert_allclose(ez - (1.0 - w), w / 41.0, rtol=1e-5, atol=0.0)
+        # Within the support tolerance of zbar the mean is zbar itself.
+        assert SenderDist(5, 5, 3).trunc_mean(3.0 - 1e-12) == 3.0
 
 
 @pytest.mark.parametrize("q", [1.0, 1.3])
 @pytest.mark.parametrize("shape", AGREEMENT_SHAPES)
 def test_tail_moments_match_scalar(shape, q):
-    # The array twin of trunc_mean and partial_moment: the same values, and
-    # NaN exactly where trunc_mean finds the tail too thin.
+    # The array twin of trunc_mean and partial_moment: the same values, all
+    # finite, up to the top of the support.
     d = SenderDist(*shape, 3)
     c = np.concatenate((
         np.linspace(0.0, 3.0, 61),
@@ -209,15 +239,12 @@ def test_tail_moments_match_scalar(shape, q):
         3.0 - np.geomspace(1e-8, 0.5, 20),
     ))
     ez, pm_q, pm_inv = d.tail_moments(c, q)
+    assert np.all(np.isfinite([ez, pm_q, pm_inv]))
     for i, x in enumerate(c):
-        try:
-            want = d.trunc_mean(x)
-        except DegenerateTailError:
-            assert np.isnan([ez[i], pm_q[i], pm_inv[i]]).all()
-            continue
         pm_inv_want = d.partial_moment(max(x, EFFECTIVE_ZERO), -1.0)
         np.testing.assert_allclose(
-            [ez[i], pm_q[i], pm_inv[i]], [want, d.partial_moment(x, q), pm_inv_want],
+            [ez[i], pm_q[i], pm_inv[i]],
+            [d.trunc_mean(x), d.partial_moment(x, q), pm_inv_want],
             rtol=1e-14, atol=0.0,
         )
 

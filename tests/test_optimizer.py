@@ -14,7 +14,7 @@ from delegate_opt.cli import main
 from delegate_opt.errors import ConfigError, ConvergenceError
 from delegate_opt.distributions import EFFECTIVE_ZERO
 from delegate_opt.harness import load_golden, run_config
-from delegate_opt.optimizer import OptimizerOptions
+from delegate_opt.optimizer import OptimizerOptions, _Scan
 from delegate_opt.surplus import sep_part
 from delegate_opt.thresholds import POOLING, STRICTLY_WELL_BEHAVED
 
@@ -202,12 +202,17 @@ def test_edge_beats_diagonal_grid_best():
     assert out.surplus.total >= 0.97962
 
 
-def test_thin_tail_columns_are_skipped():
-    # Above z = 3.66541 the tail mass is below 1e-12, so the top grid columns
-    # have no conditional mean; they hold no pooling value instead of
-    # aborting the optimization.
+def _scan_is_finite(p: ModelParams, d: SenderDist) -> bool:
+    scan = _Scan(p, d, OptimizerOptions().grid)
+    return bool(np.isfinite(scan.edge).all() and np.isfinite(scan.diag).all())
+
+
+def test_thin_tail_columns_solve():
+    # Above z = 3.66541 the tail mass is below 1e-12; the top grid columns
+    # still have an exact conditional mean and a pooling value.
     p = ModelParams(a=0.31987239932116085, q=1.0381969729919802, k=2.4131184581963065)
     d = SenderDist(1.4631795411914794, 7.487329320767199, 3.727537941971651)
+    assert _scan_is_finite(p, d)
     out = optimize(p, d)
     assert out.thresholds.z_l <= out.thresholds.z_h
     assert out.surplus.total >= pi_s(p, d) - 1e-8
@@ -215,10 +220,10 @@ def test_thin_tail_columns_are_skipped():
 
 def test_thin_tail_inside_edge_bracket_solves():
     # The best edge column borders the thin tail (mass above z = 0.9897 below
-    # 1e-12), so the refinement's bracket reaches into it, where the edge
-    # objective has no pooling value: such points never win.
+    # 1e-12), so the refinement's bracket reaches into it.
     p = ModelParams(A=0.5, beta_cost=0.2, a=0.6736, k=0.5, q=1.9786)
     d = SenderDist(2.2615, 6.6962, 1.0)
+    assert _scan_is_finite(p, d)
     out = optimize(p, d)
     assert out.surplus.total >= pi_s(p, d) - 1e-8
     assert out.diagnostics["certificate"] >= -1e-8

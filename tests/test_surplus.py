@@ -18,7 +18,6 @@ from delegate_opt import (
     well_behaved_gain,
 )
 from delegate_opt.distributions import EFFECTIVE_ZERO
-from delegate_opt.errors import DegenerateTailError
 from delegate_opt.thresholds import pooled_action
 from delegate_opt.surplus import pi_p_many, pi_w_edge, pool_part, sep_part
 
@@ -217,20 +216,18 @@ class TestWellBehavedGain:
 @pytest.mark.parametrize("shape", AGREEMENT_SHAPES)
 def test_batched_lines_match_scalar(shape):
     # The edge Pi_w(0, z) and the diagonal Pi_p(z) in one batch each, at
-    # seeded points plus the top guard and the thin tail near zbar (NaN
-    # exactly where the scalar functions raise).
+    # seeded points plus the thin tail near zbar and the top guard.
     rng = np.random.default_rng(5)
     d = SenderDist(*shape, 3)
     z = np.append(rng.uniform(EFFECTIVE_ZERO, 3.0, 25), [3.0 - 1e-3, 3.0 - 1e-10])
     for p in (ModelParams(), random_admissible(rng), random_admissible(rng)):
-        edge, diag = pi_w_edge(p, d, z), pi_p_many(p, d, z)
-        for zi, e, g in zip(z, edge, diag):
-            try:
-                want = (pi_w(p, d, 0.0, float(zi)).total, pi_p(p, d, float(zi)))
-            except DegenerateTailError:
-                assert np.isnan(e) and np.isnan(g)
-                continue
-            np.testing.assert_allclose([e, g], want, rtol=1e-12, atol=0.0)
+        moments = d.tail_moments(z, p.q)
+        edge, diag = pi_w_edge(p, d, z, moments), pi_p_many(p, d, z, moments)
+        want = [
+            [pi_w(p, d, 0.0, float(zi)).total for zi in z],
+            [pi_p(p, d, float(zi)) for zi in z],
+        ]
+        np.testing.assert_allclose([edge, diag], want, rtol=1e-12, atol=0.0)
 
 
 def test_pool_part_zero_action_has_no_cost(uniform3):

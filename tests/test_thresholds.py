@@ -299,3 +299,32 @@ def test_anchored_maps_make_no_quadrature_call(baseline, shape, z_l, monkeypatch
     top = path.top_wage()
     assert resolve(baseline, d, z_l, d.zbar).t_h == top
     assert invert_cap(baseline, d, path, top).eq_class == SEPARATING
+
+
+# A recorded solve-interval input (z_l = 0) whose root lies above
+# quantile(1 - 1e-10), in the band the cap search once stopped short of.
+RECORDED_THIN_CAP = (
+    ModelParams(a=0.5196802146419977, q=1.3947719071358389, k=1.7791125682177296),
+    SenderDist(3, 5, 2.009293251585505),
+    15.920704826805233,
+)
+
+
+def test_cap_in_thin_tail_round_trips():
+    p, d, cap = RECORDED_THIN_CAP
+    path = SeparatingPath(p, invert_floor(p, d, 0.0), d.zbar)
+    rec = invert_cap(p, d, path, cap)
+    assert rec.eq_class == STRICTLY_WELL_BEHAVED
+    assert rec.z_h == pytest.approx(2.0059355, abs=1e-7)
+    assert abs(solve_top(p, d, path, rec.z_h)[1] - cap) <= 1e-6 * cap
+
+
+def test_cap_above_the_search_limit_is_separating():
+    # A cap between t_h(zbar - EFFECTIVE_ZERO) and the top wage has its root
+    # within EFFECTIVE_ZERO of zbar.
+    p, d, _ = RECORDED_THIN_CAP
+    path = SeparatingPath(p, 0.0, d.zbar)
+    _, t_limit = solve_top(p, d, path, d.zbar - EFFECTIVE_ZERO)
+    rec = invert_cap(p, d, path, 0.5 * (t_limit + path.top_wage()))
+    assert rec.eq_class == SEPARATING
+    assert rec.z_h == d.zbar
