@@ -22,7 +22,6 @@ from dataclasses import dataclass, fields
 from importlib import resources
 from pathlib import Path
 
-from . import surplus as sp
 from .distributions import SenderDist
 from .errors import ConfigError, DelegateOptError
 from .model import ModelParams
@@ -105,7 +104,7 @@ def run_config(
         design=design, alpha=d.alpha, beta_shape=d.beta_shape, q=p.q, k=p.k,
         a=p.a, zbar=d.zbar, xbar=p.k * d.zbar**p.q, t_l=rec.t_l, t_h=rec.t_h,
         z_l=rec.z_l, z_h=rec.z_h, x_h=rec.x_h, s_h=rec.s_h,
-        pi_w=out.surplus.total, pi_s=sp.pi_s(p, d), eq_class=rec.eq_class,
+        pi_w=out.surplus.total, pi_s=out.pi_s, eq_class=rec.eq_class,
         percentile_zh=out.percentile_zh,
     )
 

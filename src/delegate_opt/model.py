@@ -38,7 +38,7 @@ class ModelParams:
 def _pow(base, exponent):
     # np.power returns 1.0 for 0**0, which is the convention the pure-signaling
     # case a = 0 needs; guard against negative bases instead.
-    if np.any(np.asarray(base) < 0):
+    if (np.asarray(base) < 0).any():
         raise DomainError("negative base in power law")
     return np.power(base, exponent)
 
@@ -52,13 +52,11 @@ def cost_c(p: ModelParams, s, z):
     """Signaling cost beta s^2 / z; 0 whenever s = 0."""
     s_arr = np.asarray(s, dtype=float)
     z_arr = np.asarray(z, dtype=float)
-    if np.any((z_arr < EFFECTIVE_ZERO) & (s_arr > 0)):
+    if ((z_arr < EFFECTIVE_ZERO) & (s_arr > 0)).any():
         raise DomainError("cost singular: s > 0 with z below the effective zero")
-    with np.errstate(divide="ignore", invalid="ignore"):
-        out = np.where(s_arr == 0.0, 0.0, p.beta_cost * s_arr**2 / z_arr)
-    if np.ndim(s) == 0 and np.ndim(z) == 0:
-        return float(out)
-    return out
+    # Past the check, z < EFFECTIVE_ZERO only with s = 0, where the cost is 0.
+    out = p.beta_cost * s_arr**2 / np.maximum(z_arr, EFFECTIVE_ZERO)
+    return float(out) if np.ndim(out) == 0 else out
 
 
 def match_n(p: ModelParams, z):

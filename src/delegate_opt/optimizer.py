@@ -62,6 +62,7 @@ class DelegationOutcome:
     interval: tuple[float, float]
     surplus: sp.SurplusBreakdown
     percentile_zh: float
+    pi_s: float  # full delegation, Pi_w(0, zbar): the edge scan's last cell
     diagnostics: dict = field(compare=False)
 
 
@@ -228,5 +229,6 @@ def optimize(
         interval=(record.t_l, record.t_h),
         surplus=breakdown,
         percentile_zh=d.cdf(record.z_h),
+        pi_s=float(sweep.edge[-1]),
         diagnostics=diagnostics,
     )

@@ -8,8 +8,9 @@ closed form
 where c1 = 2 beta (2+q) / (A k (2+a+aq)) and kappa is pinned down by the
 initial condition mu(s_l) = z_l (kappa = 0 when z_l = 0, in which case mu is
 a pure power law B s^m with m = (2-a)/(2+q)). The action function sigma is
-mu's inverse, obtained by safeguarded Newton since no closed form exists for
-z_l > 0. The wage tau is the integral of the marginal cost 2 beta s / mu(s)
+mu's inverse. It has no closed form for z_l > 0, but in v = s^(2+a+aq) the
+inversion is a convex root, which Newton solves from the power law without a
+bracket. The wage tau is the integral of the marginal cost 2 beta s / mu(s)
 along the path, which by the envelope argument equals the receiver-side
 marginal-value integrand. It has a closed form: a power law when z_l = 0, a
 Gauss hypergeometric function (DLMF 15.2) when z_l > 0.
@@ -47,9 +48,8 @@ def s_lower(p: ModelParams, z_l: float) -> float:
 class SeparatingPath:
     """Belief mu, action sigma, and wage tau anchored at (z_l, s_l, t_l).
 
-    Immutable after construction; the inversion bracket covering
-    [s_l, sigma(zbar)] is computed eagerly so concurrent reads share no
-    mutable state.
+    Immutable after construction, which solves nothing: every field is a
+    closed form of the anchor.
     """
 
     params: ModelParams
@@ -59,7 +59,6 @@ class SeparatingPath:
     t_l: float = field(init=False)
     c1: float = field(init=False, repr=False)
     _kappa: float = field(init=False, repr=False)
-    _s_top: float = field(init=False, repr=False)
 
     def __post_init__(self) -> None:
         p = self.params
@@ -78,7 +77,6 @@ class SeparatingPath:
         object.__setattr__(self, "t_l", t_l)
         object.__setattr__(self, "c1", c1)
         object.__setattr__(self, "_kappa", kappa)
-        object.__setattr__(self, "_s_top", self._solve_top_action())
 
     # -- power-law shorthands for the z_l = 0 branch ------------------------
 
@@ -90,35 +88,6 @@ class SeparatingPath:
     @property
     def _B(self) -> float:
         return self.c1 ** (1.0 / (2.0 + self.params.q))
-
-    def _solve_top_action(self) -> float:
-        """sigma(zbar), the right end of the action domain."""
-        p = self.params
-        target = self.zbar ** (2.0 + p.q)
-        seed = (target / self.c1) ** (1.0 / (2.0 - p.a))
-        if self.z_l == 0.0:
-            return seed
-        hi = max(seed, 2.0 * self.s_l, 1e-12)
-        for _ in range(200):
-            if self._poly(hi) >= target:
-                break
-            hi *= 2.0
-        else:
-            raise ConvergenceError("could not bracket sigma(zbar)")
-        lo, s = self.s_l, max(seed, self.s_l)
-        for _ in range(200):
-            f = self._poly(s) - target
-            if f < 0.0:
-                lo = s
-            elif f > 0.0:
-                hi = s
-            s_new = s - f / self._poly_prime(s)
-            if not lo < s_new < hi:
-                s_new = 0.5 * (lo + hi)
-            if abs(s_new - s) <= _INV_TOL * max(1.0, s):
-                return s_new
-            s = s_new
-        raise ConvergenceError("sigma(zbar) solve did not converge")
 
     def _poly(self, s):
         """mu(s)^(2+q)."""
@@ -166,40 +135,36 @@ class SeparatingPath:
 
     def sigma_tilde(self, z: float) -> float:
         """Equilibrium action sigma(z) with mu(sigma(z)) = z."""
-        return float(self.sigma_many(np.asarray([z], dtype=float))[0])
+        return float(self.sigma_many(z))
 
     def sigma_many(self, z: np.ndarray) -> np.ndarray:
-        """Vectorized inversion of mu; exact power law when z_l = 0.
+        """Inverse of mu at every z in [z_l, zbar]; exact power law when z_l = 0.
 
-        For z_l > 0, safeguarded Newton starts from the kappa-free power law.
+        For z_l > 0, multiplying mu^(2+q) = z^(2+q) by s^(a(2+q)) and writing
+        v = s^r with r = 2+a+aq and e = a(2+q)/r < 1 turns the inversion into
+        h(v) = c1 v + kappa - z^(2+q) v^e = 0, convex in v. The kappa-free
+        power law v0 = (z^(2+q)/c1)^(1/(1-e)) has h(v0) = kappa < 0 and
+        h'(v0) = c1 (1-e) > 0, so the first Newton step lands right of the
+        root and every later one descends onto it with h' > 0: no bracket is
+        needed. h is linear when a = 0.
         """
         z = np.asarray(z, dtype=float)
-        if np.any(z < self.z_l - _DOMAIN_SLACK) or np.any(z > self.zbar * (1.0 + _DOMAIN_SLACK)):
+        if ((z < self.z_l - _DOMAIN_SLACK) | (z > self.zbar * (1.0 + _DOMAIN_SLACK))).any():
             raise DomainError(f"sigma defined on [z_l={self.z_l}, zbar={self.zbar}] only")
         z = np.clip(z, self.z_l, self.zbar)
         p = self.params
         target = np.power(z, 2.0 + p.q)
         if self.z_l == 0.0:
             return np.power(target / self.c1, 1.0 / (2.0 - p.a))
-
-        # Safeguarded Newton on P(s) = z^(2+q).
-        g = p.a * (2.0 + p.q)
-        lo = np.full_like(z, self.s_l)
-        hi = np.full_like(z, self._s_top * (1.0 + 1e-12))
-        s = np.maximum((target / self.c1) ** (1.0 / (2.0 - p.a)), self.s_l)
+        r = 2.0 + p.a + p.a * p.q
+        e = p.a * (2.0 + p.q) / r
+        v = np.power(target / self.c1, 1.0 / (1.0 - e))
         for _ in range(100):
-            pow1 = np.power(s, 2.0 - p.a)
-            pow2 = np.power(s, -g) if self._kappa != 0.0 else 0.0
-            f = self.c1 * pow1 + self._kappa * pow2 - target
-            fp = ((2.0 - p.a) * self.c1 * pow1 - g * self._kappa * pow2) / s
-            lo = np.where(f < 0.0, s, lo)
-            hi = np.where(f > 0.0, s, hi)
-            s_new = s - f / fp
-            bad = (s_new < lo) | (s_new > hi)
-            s_new = np.where(bad, 0.5 * (lo + hi), s_new)
-            if np.max(np.abs(s_new - s)) <= _INV_TOL * max(1.0, float(np.max(s))):
-                return s_new
-            s = s_new
+            v_e = np.power(v, e)
+            step = (self.c1 * v + self._kappa - target * v_e) / (self.c1 - e * target * v_e / v)
+            v = v - step
+            if (np.abs(step) <= _INV_TOL * v).all():
+                return np.power(v, 1.0 / r)
         raise ConvergenceError("sigma inversion did not converge")
 
     # -- the market wage -------------------------------------------------------
@@ -217,7 +182,7 @@ class SeparatingPath:
         """
         if s < self.s_l * (1.0 - _DOMAIN_SLACK) - _DOMAIN_SLACK:
             raise DomainError(f"tau undefined below s_l={self.s_l}")
-        if s > self._s_top * (1.0 + _DOMAIN_SLACK):
+        if self.mu_tilde(s) > self.zbar * (1.0 + _DOMAIN_SLACK):
             raise DomainError("tau undefined beyond sigma(zbar)")
         s = max(s, self.s_l)
         p = self.params

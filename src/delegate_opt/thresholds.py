@@ -109,81 +109,65 @@ def _no_crossing(z_h) -> DegenerateTailError:
     )
 
 
+def _top_inputs(
+    d: SenderDist, path: SeparatingPath, z_h: float
+) -> tuple[float, float]:
+    """sigma(z_h) and E[z|z>=z_h] for a top threshold inside (z_l, zbar - 1e-9)."""
+    if not path.z_l < z_h < d.zbar - _TOP_GUARD:
+        raise DomainError(f"z_h={z_h} outside (z_l={path.z_l}, zbar-1e-9)")
+    return path.sigma_tilde(z_h), d.trunc_mean(z_h)
+
+
 def pooled_action(
     p: ModelParams, d: SenderDist, path: SeparatingPath, z_h: float
 ) -> float:
     """Pooled action s_h: the larger root of the top indifference equation.
 
     The residual A k s^a z_h^q E[z|z>=z_h] - beta s^2/z_h - (same at sigma(z_h)
-    with E replaced by z_h) is positive at sigma(z_h) and eventually negative,
-    so doubling the upper end always brackets the larger root. Where it is
-    not positive just above sigma(z_h), as when the tail mean equals z_h, no
-    bracket exists and DegenerateTailError is raised.
+    with E replaced by z_h) is positive just above sigma(z_h) and negative
+    beyond the larger root; ``pooled_action_many`` solves it. Where the tail
+    mean does not exceed z_h, no root exists and DegenerateTailError is
+    raised.
     """
-    if not path.z_l < z_h < d.zbar - _TOP_GUARD:
-        raise DomainError(f"z_h={z_h} outside (z_l={path.z_l}, zbar-1e-9)")
-    sig = path.sigma_tilde(z_h)
-    ez = d.trunc_mean(z_h)
-    rhs = _top_rhs(p, sig, z_h)
-
-    def resid(s: float) -> float:
-        return (
-            p.A * p.k * s**p.a * z_h**p.q * ez - p.beta_cost * s**2 / z_h - rhs
-        )
-
-    lo = sig * (1.0 + 1e-10)
-    hi = max(2.0 * sig, 1e-12)
-    for _ in range(200):
-        if resid(hi) < 0.0:
-            break
-        hi *= 2.0
-    else:
-        raise ConvergenceError(f"no upper bracket for the pooled action at z_h={z_h}")
-    try:
-        return brentq(resid, lo, hi, xtol=1e-14, rtol=1e-12)
-    except ValueError as exc:  # resid(lo) has the sign of resid(hi)
-        raise _no_crossing(z_h) from exc
+    sig, ez = _top_inputs(d, path, z_h)
+    return pooled_action_many(p, sig, z_h, ez)
 
 
 def pooled_action_many(
-    p: ModelParams, sig: np.ndarray, z_h: np.ndarray, ez: np.ndarray
-) -> np.ndarray:
-    """``pooled_action`` at many z_h at once, given sigma(z_h) and E[z|z>=z_h].
+    p: ModelParams,
+    sig: float | np.ndarray,
+    z_h: float | np.ndarray,
+    ez: float | np.ndarray,
+) -> float | np.ndarray:
+    """``pooled_action`` at one or many z_h, given sigma(z_h) and E[z|z>=z_h].
 
-    The residual is concave in s, so Newton started right of the larger root
-    decreases monotonically onto it; (c1/c2)^(1/(2-a)) is such a start
-    wherever rhs >= 0, and doubling covers the rest. The larger root lies
-    right of the residual's maximum, so no step meets a zero slope. The stop
-    test is ``pooled_action``'s root tolerance. Every z_h must lie strictly
-    inside (z_l, zbar - 1e-9). The residual at sigma(z_h) is exactly
+    Divided by s^a and written in u = s^(2-a) with e = a/(2-a), the residual
+    c1 s^a - c2 s^2 - rhs becomes f(u) = c1 - c2 u - rhs u^(-e). Newton
+    starts at u0 = c1/c2, where f(u0) = -rhs u0^(-e) <= 0. For rhs >= 0, f is
+    concave, so Newton descends monotonically onto the larger root. A
+    negative rhs, which only rounding produces (z_h next to z_l), makes f
+    convex and decreasing, and Newton climbs onto its only root. f is linear
+    when a = 0. The stop test is 1e-14 + 1e-12 s in s. Every z_h must lie
+    strictly inside (z_l, zbar - 1e-9). The residual at sigma(z_h) is exactly
     A k sigma^a z_h^q (ez - z_h); where that is not positive, no root exists.
+    A 0-d input gives a float.
     """
-    # pooled_action's residual, written as c1 s^a - c2 s^2 - rhs.
+    z_h = np.asarray(z_h, dtype=float)
+    crossing = ez > z_h
+    if not crossing.all():
+        raise _no_crossing(z_h[~crossing][0])
     c1 = p.A * p.k * z_h**p.q * ez
     c2 = p.beta_cost / z_h
     rhs = _top_rhs(p, sig, z_h)
-
-    def resid(s: np.ndarray) -> np.ndarray:
-        return c1 * s**p.a - c2 * s**2 - rhs
-
-    bad = ~(ez > z_h)
-    if np.any(bad):
-        raise _no_crossing(z_h[bad][0])
-    hi = np.maximum((c1 / c2) ** (1.0 / (2.0 - p.a)), np.maximum(2.0 * sig, 1e-12))
-    for _ in range(200):
-        up = resid(hi) >= 0.0
-        if not np.any(up):
-            break
-        hi = np.where(up, 2.0 * hi, hi)
-    else:
-        raise ConvergenceError("no upper bracket for the pooled actions")
-    s = hi
+    e = p.a / (2.0 - p.a)
+    u = c1 / c2
+    s = u ** (1.0 / (2.0 - p.a))
     for _ in range(100):
-        s_a = s**p.a
-        step = (c1 * s_a - c2 * s * s - rhs) / (p.a * c1 * s_a / s - 2.0 * c2 * s)
-        s = s - step
-        if (np.abs(step) <= 1e-14 + 1e-12 * s).all():
-            return s
+        u_e = u**-e
+        u = u - (c1 - c2 * u - rhs * u_e) / (e * rhs * u_e / u - c2)
+        s_prev, s = s, u ** (1.0 / (2.0 - p.a))
+        if (np.abs(s - s_prev) <= 1e-14 + 1e-12 * s).all():
+            return float(s) if np.ndim(s) == 0 else s
     raise ConvergenceError("pooled-action Newton iteration did not converge")
 
 
@@ -196,13 +180,13 @@ def solve_top(
     must agree (the two equations sum to the one defining s_h) and any
     disagreement beyond 1e-6 relative aborts.
     """
-    s_h = pooled_action(p, d, path, z_h)
-    sig = path.sigma_tilde(z_h)
+    sig, ez = _top_inputs(d, path, z_h)
+    s_h = pooled_action_many(p, sig, z_h, ez)
     tau_sig = path.tau_tilde(sig)
     t_sellers = model.cost_c(p, s_h, z_h) + tau_sig - model.cost_c(p, sig, z_h)
     x_h = model.match_n(p, z_h)
     t_buyers = (
-        p.A * x_h * s_h**p.a * d.trunc_mean(z_h)
+        p.A * x_h * s_h**p.a * ez
         - model.surplus_v(p, x_h, sig, z_h)
         + tau_sig
     )

@@ -88,10 +88,8 @@ def brute_force_triangle(p: ModelParams, d: SenderDist, n: int) -> np.ndarray:
         cells, _ = sep_cells(p, d, path, grid[i:])
         cum = np.cumsum(cells)
         s_star, _ = pooling_star(p, d, grid[i])
-        # Sliced after the solve: the last row has no interior column, and
-        # sigma_many's Newton stop test cannot reduce an empty array.
-        sig = path.sigma_many(grid[i + 1:])[:-1]
-        s_h = pooled_action_many(p, sig, grid[i + 1:-1], ez[i + 1:-1])
+        z_h = grid[i + 1:-1]  # empty on the last row
+        s_h = pooled_action_many(p, path.sigma_many(z_h), z_h, ez[i + 1:-1])
         pool = pool_part(p, d, grid[i:-1], np.concatenate(([s_star], s_h)))
         values[i, i] = pool[0]
         values[i, i + 1:-1] = cum[:-1] + pool[1:]

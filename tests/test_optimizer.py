@@ -18,7 +18,7 @@ from delegate_opt.optimizer import OptimizerOptions, _Scan
 from delegate_opt.surplus import sep_part
 from delegate_opt.thresholds import POOLING, STRICTLY_WELL_BEHAVED
 
-from conftest import BASELINE_SHAPES, brute_force_triangle, sep_cells
+from conftest import AGREEMENT_SHAPES, BASELINE_SHAPES, brute_force_triangle, sep_cells
 
 
 class TestBaselineOptimum:
@@ -298,3 +298,11 @@ def test_optimizer_makes_no_quadrature_call(params, shape, monkeypatch):
     assert out.surplus.total >= pi_s(params, d) - 1e-8
     row = run_config(params, d, design=1)
     assert row.pi_w == out.surplus.total
+
+
+@pytest.mark.parametrize("shape", AGREEMENT_SHAPES)
+def test_pi_s_is_the_edge_scans_last_cell(baseline, shape):
+    # Full delegation is Pi_w(0, zbar), which the edge scan already holds;
+    # the array closed form gives the scalar one's value bit for bit.
+    d = SenderDist(*shape, 3)
+    assert optimize(baseline, d).pi_s == pi_s(baseline, d)

@@ -1,8 +1,9 @@
-"""Seeded property tests of optimize and the inverse map over the admissible box."""
+"""Seeded property tests of optimize, the forward and the inverse map over the
+admissible box."""
 
 from __future__ import annotations
 
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from delegate_opt import (
@@ -15,7 +16,8 @@ from delegate_opt import (
     solve_bottom,
     solve_top,
 )
-from delegate_opt.thresholds import STRICTLY_WELL_BEHAVED
+from delegate_opt.distributions import EFFECTIVE_ZERO
+from delegate_opt.thresholds import STRICTLY_WELL_BEHAVED, classify, resolve
 
 
 def _floats(lo: float, hi: float) -> st.SearchStrategy[float]:
@@ -66,3 +68,35 @@ def test_invert_cap_round_trips(
     rec = invert_cap(p, d, path, cap)
     if rec.eq_class == STRICTLY_WELL_BEHAVED:
         assert abs(solve_top(p, d, path, rec.z_h)[1] - cap) <= 1e-6 * cap
+
+
+@settings(derandomize=True, deadline=None, max_examples=200)
+@given(**BOX, entry=_floats(0.0, 0.6), u=st.floats(0.0, 1.0, exclude_min=True, exclude_max=True))
+def test_resolve_solves_the_top_system(
+    A, beta_cost, a, k, q, alpha, beta_shape, zbar, entry, u
+):
+    # Any z_h inside (z_l + EFFECTIVE_ZERO, zbar - EFFECTIVE_ZERO) resolves
+    # to a pooled action that is the larger root of the top indifference
+    # equation, to twice pooled_action's root tolerance, and a cap below the
+    # top wage.
+    p = ModelParams(A=A, beta_cost=beta_cost, a=a, k=k, q=q)
+    d = SenderDist(alpha, beta_shape, zbar)
+    z_l = 0.0 if entry < 0.05 else entry * zbar
+    lo, hi = z_l + EFFECTIVE_ZERO, zbar - EFFECTIVE_ZERO
+    z_h = lo + u * (hi - lo)
+    # Rounding can put an end point a hair outside the band.
+    assume(classify(z_l, z_h, zbar) == STRICTLY_WELL_BEHAVED)
+    rec = resolve(p, d, z_l, z_h)
+    assert rec.eq_class == STRICTLY_WELL_BEHAVED
+    path = SeparatingPath(p, z_l, zbar)
+    sig, ez, s_h = path.sigma_tilde(z_h), d.trunc_mean(z_h), rec.s_h
+    separate = A * k * sig**a * z_h ** (1.0 + q) - beta_cost * sig**2 / z_h
+
+    def excess(s: float) -> float:
+        return A * k * s**a * z_h**q * ez - beta_cost * s**2 / z_h - separate
+
+    tol = 2.0 * (1e-14 + 1e-12 * s_h)
+    assert s_h > sig
+    assert excess(max(sig, s_h - tol)) >= 0.0 >= excess(s_h + tol)
+    assert rec.t_h < path.top_wage()
+    assert abs(path.mu_tilde(sig) - z_h) <= 1e-12 * zbar

@@ -40,6 +40,20 @@ def tau_by_value(path: SeparatingPath, s: float) -> float:
     return path.t_l + integrate(integrand, path.s_l, s)
 
 
+def sigma_by_brentq(path: SeparatingPath, z: float) -> float:
+    """Independent inverse of mu: brentq on mu(s) - z over a doubled bracket."""
+
+    def f(s: float) -> float:
+        return path.mu_tilde(s) - z
+
+    if f(path.s_l) >= 0.0:
+        return path.s_l
+    hi = 2.0 * path.s_l
+    while f(hi) < 0.0:
+        hi *= 2.0
+    return brentq(f, path.s_l, hi, xtol=1e-300, rtol=4.0 * np.finfo(float).eps)
+
+
 class TestEntryAction:
     def test_normalization_at_zero(self, baseline):
         assert s_lower(baseline, 0.0) == 0.0
@@ -155,6 +169,16 @@ class TestAction:
             sig = path.sigma_many(zs)
             assert np.max(np.abs(path.mu_tilde(sig) - zs)) <= 1e-8
             assert np.all(np.diff(sig) > 0)
+
+    @pytest.mark.parametrize("a", [0.0, 0.5, 0.9, 0.99])
+    @pytest.mark.parametrize("q", [0.0, 1.0, 2.0])
+    @pytest.mark.parametrize("z_l", [0.05, 1.0, 2.5])
+    def test_anchored_matches_root_finder(self, a, q, z_l):
+        path = SeparatingPath(ModelParams(a=a, q=q), z_l, 3.0)
+        zs = np.array([z_l, z_l * (1.0 + 1e-9), 0.5 * (z_l + 3.0), 3.0])
+        want = np.array([sigma_by_brentq(path, float(z)) for z in zs])
+        assert np.all(np.abs(path.sigma_many(zs) - want) <= 1e-12 * want)
+        assert type(path.sigma_tilde(zs[2])) is float
 
     def test_domain_error_beyond_support(self, baseline):
         path = SeparatingPath(baseline, 0.0, 3.0)

@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import numpy as np
 import pytest
+from scipy.optimize import brentq
 
 from delegate_opt import (
     ModelParams,
@@ -15,6 +16,7 @@ from delegate_opt import (
     separating,
     solve_bottom,
     solve_top,
+    thresholds,
 )
 from delegate_opt.distributions import EFFECTIVE_ZERO
 from delegate_opt.errors import DegenerateTailError, DomainError
@@ -238,6 +240,26 @@ class TestClassify:
         assert sep.s_h == pytest.approx(9.0, rel=1e-10)
 
 
+def pooled_action_by_brentq(
+    p: ModelParams, d: SenderDist, path: SeparatingPath, z_h: float
+) -> float:
+    """Independent larger root of the top indifference residual, in s.
+
+    The residual is positive just above sigma(z_h) and negative beyond the
+    larger root, so doubling an upper end brackets it for brentq.
+    """
+    sig, ez = path.sigma_tilde(z_h), d.trunc_mean(z_h)
+    rhs = p.A * p.k * sig**p.a * z_h ** (1.0 + p.q) - p.beta_cost * sig**2 / z_h
+
+    def resid(s: float) -> float:
+        return p.A * p.k * s**p.a * z_h**p.q * ez - p.beta_cost * s**2 / z_h - rhs
+
+    hi = max(2.0 * sig, 1e-12)
+    while resid(hi) >= 0.0:
+        hi *= 2.0
+    return brentq(resid, sig * (1.0 + 1e-10), hi, xtol=1e-14, rtol=1e-12)
+
+
 class TestPooledActionMany:
     @pytest.mark.parametrize(
         "params, shape",
@@ -256,12 +278,25 @@ class TestPooledActionMany:
             path = SeparatingPath(params, grid[i], 3.0)
             z_h = grid[i + 1:-1]  # row 0 starts at z_h = grid[1]
             got = pooled_action_many(params, path.sigma_many(z_h), z_h, ez[i:])
-            want = np.array([pooled_action(params, d, path, z) for z in z_h])
+            want = np.array([pooled_action_by_brentq(params, d, path, z) for z in z_h])
             assert np.all(np.abs(got - want) <= 2.0 * (1e-14 + 1e-12 * want))
 
     def test_empty_row(self, baseline):
         empty = np.array([])
         assert pooled_action_many(baseline, empty, empty, empty).size == 0
+
+    @pytest.mark.parametrize("z_l", [0.0, 0.5])
+    def test_zero_d_input(self, baseline, uniform3, z_l):
+        path = SeparatingPath(baseline, z_l, 3.0)
+        z_h = 1.7
+        sig, ez = path.sigma_tilde(z_h), uniform3.trunc_mean(z_h)
+        s_h = pooled_action_many(baseline, sig, z_h, ez)
+        assert type(s_h) is float
+        assert s_h == pooled_action(baseline, uniform3, path, z_h)
+        assert type(pooled_action_many(baseline, sig, np.asarray(z_h), ez)) is float
+        for tail_mean in (z_h, np.nextafter(z_h, 0.0)):
+            with pytest.raises(DegenerateTailError):
+                pooled_action_many(baseline, sig, z_h, tail_mean)
 
 
 def test_thin_tail_raises_typed_error(monkeypatch):
@@ -299,6 +334,31 @@ def test_anchored_maps_make_no_quadrature_call(baseline, shape, z_l, monkeypatch
     top = path.top_wage()
     assert resolve(baseline, d, z_l, d.zbar).t_h == top
     assert invert_cap(baseline, d, path, top).eq_class == SEPARATING
+
+
+@pytest.mark.parametrize("shape", BASELINE_SHAPES)
+@pytest.mark.parametrize("z_l", [0.0, 0.4, 1.0])
+def test_resolve_makes_no_root_finder_call(baseline, shape, z_l, monkeypatch):
+    # sigma and the pooled action are bracket-free Newton solves, so the
+    # forward map calls no root finder in any of its three branches.
+    def no_brentq(*args, **kwargs):
+        raise AssertionError("brentq called")
+
+    monkeypatch.setattr(thresholds, "brentq", no_brentq)
+    d = SenderDist(*shape, 3)
+    for z_h, eq_class in ((z_l, POOLING), (2.2, STRICTLY_WELL_BEHAVED), (d.zbar, SEPARATING)):
+        assert resolve(baseline, d, z_l, z_h).eq_class == eq_class
+
+
+@pytest.mark.parametrize("z_l", [0.4, 1.0, 2.9])
+def test_building_an_anchored_path_solves_nothing(baseline, z_l, monkeypatch):
+    def no_solve(*args, **kwargs):
+        raise AssertionError("the path solved for an action when built")
+
+    monkeypatch.setattr(SeparatingPath, "sigma_many", no_solve)
+    monkeypatch.setattr(SeparatingPath, "_poly", no_solve)
+    path = SeparatingPath(baseline, z_l, 3.0)
+    assert path.s_l > 0.0
 
 
 # A recorded solve-interval input (z_l = 0) whose root lies above
