@@ -209,7 +209,7 @@ def optimize(
             if v > val + _TIE_TOL:
                 (z_l, z_h), val, method = point(z), v, name
     record = th.resolve(p, d, z_l, z_h)
-    breakdown = sp.pi_w(p, d, record.z_l, record.z_h)
+    breakdown = sp.surplus_of(p, d, record)
     diagnostics = {
         "grid": opts.grid,
         "grid_best": {"z_l": float(grid[gi]), "z_h": float(grid[gj]), "value": g_val},

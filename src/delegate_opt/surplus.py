@@ -27,6 +27,12 @@ by QUADPACK's QAGS, whose extrapolation handles the (zbar - z)^(beta-1)
 endpoint singularity of Beta shapes below 1; only the two limits invert mu.
 The pooling part takes its tail integrals from the closed forms in
 ``distributions``. Transfers cancel, so nothing here reads wages.
+
+``thresholds.resolve`` alone decides which equilibrium a pair (z_l, z_h)
+induces, and ``surplus_of`` prices its record. So ``pi_w`` snaps as
+``classify`` does: a pair within EFFECTIVE_ZERO of the diagonal is priced as
+pooling, and a z_h within EFFECTIVE_ZERO of zbar as separating. The breakdown
+carries the record's z_l and z_h.
 """
 
 from __future__ import annotations
@@ -108,22 +114,23 @@ def pool_part(
     return float(out) if out.ndim == 0 else out
 
 
+def surplus_of(
+    p: ModelParams, d: SenderDist, rec: thresholds.Thresholds
+) -> SurplusBreakdown:
+    """Aggregate net surplus of the equilibrium that ``resolve`` recorded."""
+    sep = 0.0
+    if rec.eq_class != thresholds.POOLING:
+        path = SeparatingPath(p, rec.z_l, d.zbar)
+        sep = sep_part(p, d, path, rec.z_l, rec.z_h)
+    pool = pool_part(p, d, rec.z_h, rec.s_h)
+    return SurplusBreakdown(sep, pool, sep + pool, rec.z_l, rec.z_h)
+
+
 def pi_w(p: ModelParams, d: SenderDist, z_l: float, z_h: float) -> SurplusBreakdown:
-    """Aggregate net surplus of the well-behaved equilibrium at (z_l, z_h)."""
+    """Aggregate net surplus of the equilibrium that (z_l, z_h) induces."""
     if not 0.0 <= z_l <= z_h <= d.zbar * (1.0 + 1e-12):
         raise DomainError(f"need 0 <= z_l <= z_h <= zbar, got ({z_l}, {z_h})")
-    if z_h <= z_l:
-        s_star, _ = thresholds.pooling_star(p, d, z_l)
-        pool = pool_part(p, d, z_l, s_star)
-        return SurplusBreakdown(0.0, pool, pool, z_l, z_h)
-    path = SeparatingPath(p, z_l, d.zbar)
-    if z_h >= d.zbar - _TOP_GUARD:
-        sep = sep_part(p, d, path, z_l, d.zbar)
-        return SurplusBreakdown(sep, 0.0, sep, z_l, z_h)
-    sep = sep_part(p, d, path, z_l, z_h)
-    s_h = thresholds.pooled_action(p, d, path, z_h)
-    pool = pool_part(p, d, z_h, s_h)
-    return SurplusBreakdown(sep, pool, sep + pool, z_l, z_h)
+    return surplus_of(p, d, thresholds.resolve(p, d, z_l, z_h))
 
 
 def pi_p(p: ModelParams, d: SenderDist, z_star: float) -> float:

@@ -9,10 +9,9 @@ invert_cap).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
-from scipy.optimize import brentq
 
 from . import model
 from .distributions import EFFECTIVE_ZERO, SenderDist
@@ -23,15 +22,15 @@ from .errors import (
     InconsistencyError,
 )
 from .model import ModelParams
-from .separating import SeparatingPath, s_lower
+from .separating import SeparatingPath
 
 POOLING = "Pooling"
 STRICTLY_WELL_BEHAVED = "StrictlyWellBehaved"
 SEPARATING = "Separating"
 
-# z_h closer than this to zbar is classified Separating: the top system is
-# not solved (the conditional tail mean snaps to zbar there) and the pooling
-# part is empty.
+# The top system is not solved for z_h closer than this to zbar (the
+# conditional tail mean snaps to zbar there), and the pooling part is empty.
+# resolve never gets that close: classify snaps within EFFECTIVE_ZERO.
 _TOP_GUARD = 1e-9
 _RETRIEVAL_RTOL = 1e-6
 
@@ -71,11 +70,8 @@ def solve_bottom(p: ModelParams, d: SenderDist, z_l: float) -> tuple[float, floa
     Both bottom inequalities bind when z_l > 0, so t_l = c(s_l, z_l)
     (equivalently v(n(z_l), s_l, z_l)); the z_l = 0 normalization is (0, 0).
     """
-    if not 0.0 <= z_l < d.zbar:
-        raise DomainError(f"z_l={z_l} outside [0, zbar={d.zbar})")
-    s_l = s_lower(p, z_l)
-    t_l = 0.0 if z_l == 0.0 else model.cost_c(p, s_l, z_l)
-    return s_l, t_l
+    path = SeparatingPath(p, z_l, d.zbar)
+    return path.s_l, path.t_l
 
 
 def invert_floor(p: ModelParams, d: SenderDist, t_l: float) -> float:
@@ -109,15 +105,6 @@ def _no_crossing(z_h) -> DegenerateTailError:
     )
 
 
-def _top_inputs(
-    d: SenderDist, path: SeparatingPath, z_h: float
-) -> tuple[float, float]:
-    """sigma(z_h) and E[z|z>=z_h] for a top threshold inside (z_l, zbar - 1e-9)."""
-    if not path.z_l < z_h < d.zbar - _TOP_GUARD:
-        raise DomainError(f"z_h={z_h} outside (z_l={path.z_l}, zbar-1e-9)")
-    return path.sigma_tilde(z_h), d.trunc_mean(z_h)
-
-
 def pooled_action(
     p: ModelParams, d: SenderDist, path: SeparatingPath, z_h: float
 ) -> float:
@@ -127,10 +114,9 @@ def pooled_action(
     with E replaced by z_h) is positive just above sigma(z_h) and negative
     beyond the larger root; ``pooled_action_many`` solves it. Where the tail
     mean does not exceed z_h, no root exists and DegenerateTailError is
-    raised.
+    raised. This is ``solve_top``'s first output.
     """
-    sig, ez = _top_inputs(d, path, z_h)
-    return pooled_action_many(p, sig, z_h, ez)
+    return solve_top(p, d, path, z_h)[0]
 
 
 def pooled_action_many(
@@ -180,7 +166,9 @@ def solve_top(
     must agree (the two equations sum to the one defining s_h) and any
     disagreement beyond 1e-6 relative aborts.
     """
-    sig, ez = _top_inputs(d, path, z_h)
+    if not path.z_l < z_h < d.zbar - _TOP_GUARD:
+        raise DomainError(f"z_h={z_h} outside (z_l={path.z_l}, zbar-1e-9)")
+    sig, ez = path.sigma_tilde(z_h), d.trunc_mean(z_h)
     s_h = pooled_action_many(p, sig, z_h, ez)
     tau_sig = path.tau_tilde(sig)
     t_sellers = model.cost_c(p, s_h, z_h) + tau_sig - model.cost_c(p, sig, z_h)
@@ -244,6 +232,14 @@ def resolve(p: ModelParams, d: SenderDist, z_l: float, z_h: float) -> Thresholds
     )
 
 
+def brentq(f, a, b, **kw):
+    """``scipy.optimize.brentq``, imported on first call: only ``invert_cap``
+    searches for a root, and importing scipy.optimize costs about 23 MB."""
+    from scipy.optimize import brentq as scipy_brentq
+
+    return scipy_brentq(f, a, b, **kw)
+
+
 def invert_cap(
     p: ModelParams, d: SenderDist, path: SeparatingPath, t_h: float
 ) -> Thresholds:
@@ -259,11 +255,7 @@ def invert_cap(
     z_l = path.z_l
     top = path.top_wage()
     if t_h >= top * (1.0 - 1e-12):
-        s_top = path.sigma_tilde(d.zbar)
-        return Thresholds(
-            z_l=z_l, z_h=d.zbar, s_l=path.s_l, s_h=s_top, t_l=path.t_l,
-            t_h=t_h, x_h=model.match_n(p, d.zbar), eq_class=SEPARATING,
-        )
+        return replace(resolve(p, d, z_l, d.zbar), t_h=t_h)
     # The cap at which the separating part collapses entirely; equals t_l
     # when z_l = 0.
     _, t_pool = pooling_star(p, d, z_l)
@@ -286,12 +278,4 @@ def invert_cap(
         # Cap sits within EFFECTIVE_ZERO of zbar; snap to separating.
         return resolve(p, d, z_l, d.zbar)
     z_h = brentq(gap, lo, z_cap, xtol=1e-12, rtol=8.9e-16)
-    s_h, t_h_check = solve_top(p, d, path, z_h)
-    eq_class = classify(z_l, z_h, d.zbar)
-    if eq_class == STRICTLY_WELL_BEHAVED:
-        return Thresholds(
-            z_l=z_l, z_h=z_h, s_l=path.s_l, s_h=s_h, t_l=path.t_l,
-            t_h=t_h_check, x_h=model.match_n(p, z_h),
-            eq_class=eq_class,
-        )
     return resolve(p, d, z_l, z_h)

@@ -1,0 +1,43 @@
+"""The names the benchmark's tracer binds, and what importing the package costs."""
+
+from __future__ import annotations
+
+import importlib
+import importlib.util
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+import delegate_opt
+
+TRACING = Path(__file__).resolve().parents[1] / "perfbench" / "tracing.py"
+
+
+def test_every_traced_layer_resolves():
+    # ``--trace 1`` fails on a layer whose name the package no longer has.
+    spec = importlib.util.spec_from_file_location("perfbench_tracing", TRACING)
+    tracing = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tracing)
+    for name, module_name, attr in tracing.LAYERS:
+        module = importlib.import_module(f"{delegate_opt.__name__}.{module_name}")
+        if "." in attr:
+            cls_name, meth = attr.split(".")
+            assert meth in vars(getattr(module, cls_name)), name
+        else:
+            assert callable(getattr(module, attr, None)), name
+
+
+def test_import_loads_no_optimize_or_integrate():
+    # Both are imported on first use; loading them at import time costs
+    # tens of megabytes that neither design-rows nor resolve-types needs.
+    code = (
+        "import sys, delegate_opt; "
+        "print(sorted(m for m in ('scipy.optimize', 'scipy.integrate') "
+        "if m in sys.modules))"
+    )
+    out = subprocess.run(
+        [sys.executable, "-c", code], capture_output=True, text=True, check=True,
+        env={**os.environ, "PYTHONPATH": str(Path(delegate_opt.__file__).parents[1])},
+    )
+    assert out.stdout.strip() == "[]"

@@ -90,13 +90,13 @@ class TestCertificates:
 
     def test_certificate_failure_is_numerical(self, baseline, uniform3, monkeypatch):
         # A refined value below the grid value is a numerical failure (exit 2).
-        exact = sp.pi_w
+        exact = sp.surplus_of
 
         def low(*args, **kwargs):
             b = exact(*args, **kwargs)
             return dataclasses.replace(b, total=b.total - 1e-3)
 
-        monkeypatch.setattr(sp, "pi_w", low)
+        monkeypatch.setattr(sp, "surplus_of", low)
         with pytest.raises(ConvergenceError):
             optimize(baseline, uniform3, OptimizerOptions(grid=13))
         assert main(["optimize"]) == 2

@@ -12,6 +12,7 @@ from delegate_opt import (
     ModelParams,
     SenderDist,
     SeparatingPath,
+    optimize,
     pi_p,
     pi_s,
     pi_w,
@@ -163,6 +164,22 @@ class TestPiW:
     def test_rejects_bad_interval(self, baseline, uniform3):
         with pytest.raises(Exception):
             pi_w(baseline, uniform3, 2.0, 1.0)
+
+    def test_follows_classify(self, baseline, uniform3):
+        # pi_w reads the equilibrium off resolve's record, so a pair within
+        # EFFECTIVE_ZERO of the diagonal or of zbar is priced as the pooling
+        # or separating equilibrium that classify snaps it to.
+        near_pool = pi_w(baseline, uniform3, 1.0, 1.0 + 5e-7)
+        assert near_pool.total == pi_p(baseline, uniform3, 1.0)
+        assert (near_pool.z_l, near_pool.z_h) == (1.0, 1.0)
+        near_top = pi_w(baseline, uniform3, 0.0, uniform3.zbar - 5e-7)
+        assert near_top.total == pi_s(baseline, uniform3)
+        assert near_top.z_h == uniform3.zbar
+        for shape in BASELINE_SHAPES:
+            d = SenderDist(*shape, 3)
+            out = optimize(baseline, d)
+            rec = out.thresholds
+            assert out.surplus == pi_w(baseline, d, rec.z_l, rec.z_h), shape
 
 
 class TestPiP:
