@@ -9,17 +9,19 @@ All of them are closed forms in the regularized incomplete beta function
 (DLMF 8.17), evaluated with ``scipy.special``:
 
     int_c^zbar z^p g(z) dz = zbar^p B(alpha+p, beta)/B(alpha, beta)
-                             * (1 - I_{c/zbar}(alpha+p, beta))
+                             * I_y(beta, alpha+p)
 
-for alpha + p > 0. Otherwise (p = -1 with alpha <= 1, which the uniform shape
-reaches) the substitution t = 1 - z/zbar leaves an incomplete beta whose second
-parameter is not positive, written with the Gauss hypergeometric function:
+for alpha + p > 0, with the exact gap y = (zbar - c)/zbar. That is
+1 - I_{c/zbar}(alpha+p, beta) (DLMF 8.17.4), which loses a thin tail's digits.
+Otherwise (p = -1 with alpha <= 1, which the uniform shape reaches) the
+substitution t = 1 - z/zbar leaves an incomplete beta whose second parameter
+is not positive, written with the Gauss hypergeometric function:
 
     int_c^zbar z^p g(z) dz = zbar^p y^beta / beta
                              * 2F1(beta, 1-alpha-p; beta+1; y) / B(alpha, beta)
 
-with y = 1 - c/zbar. No moment uses quadrature. The tail mean is its gap to
-the top, exact however thin the tail (1 - z/zbar is Beta(beta, alpha)):
+No moment uses quadrature. The tail mean is its gap to the top, exact however
+thin the tail (1 - z/zbar is Beta(beta, alpha)):
 
     zbar - E[z|z>=c] = zbar beta/(alpha+beta) I_y(beta+1, alpha) / I_y(beta, alpha)
 
@@ -33,7 +35,7 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import betainc, betaincc, betaincinv, betaln, hyp2f1
+from scipy.special import betainc, betaincinv, betaln, hyp2f1
 
 from .errors import ConfigError, DomainError
 
@@ -90,13 +92,10 @@ class SenderDist:
             return float(out)
         return out
 
-    def _unit(self, z: float) -> float:
-        """z / zbar clamped to [0, 1]; SciPy returns NaN outside it instead of raising."""
-        return min(max(z / self.zbar, 0.0), 1.0)
-
     def cdf(self, z: float) -> float:
-        """P(Z <= z); arguments outside the support are clamped."""
-        return float(betainc(self.alpha, self.beta_shape, self._unit(z)))
+        """P(Z <= z); z is clamped to the support, outside which SciPy gives NaN."""
+        x = min(max(z / self.zbar, 0.0), 1.0)
+        return float(betainc(self.alpha, self.beta_shape, x))
 
     def quantile(self, p: float) -> float:
         """Inverse CDF; diagnostics only."""
@@ -104,12 +103,12 @@ class SenderDist:
             raise DomainError(f"quantile probability {p} outside [0, 1]")
         return self.zbar * float(betaincinv(self.alpha, self.beta_shape, p))
 
-    def _upper(self, p: float, x, y):
-        """int_c^zbar z^p g(z) dz from x = c/zbar and y = (zbar - c)/zbar in [0, 1]."""
+    def _upper(self, p: float, y):
+        """int_c^zbar z^p g(z) dz from y = (zbar - c)/zbar clamped to [0, 1]."""
         a, b = self.alpha, self.beta_shape
         if a + p > 0.0:
             ratio = math.exp(betaln(a + p, b) - betaln(a, b))
-            return self.zbar**p * ratio * betaincc(a + p, b, x)
+            return self.zbar**p * ratio * betainc(b, a + p, y)
         tail = y**b / b * hyp2f1(b, 1.0 - a - p, b + 1.0, y)
         return self.zbar**p * tail / math.exp(betaln(a, b))
 
@@ -122,11 +121,10 @@ class SenderDist:
         a, b = self.alpha, self.beta_shape
         if (p == -1.0 or a + p <= 0.0) and c < EFFECTIVE_ZERO:
             raise DomainError("1/z integrand needs a lower limit >= EFFECTIVE_ZERO")
-        x = self._unit(c)
-        if x >= 1.0:
+        y = (self.zbar - c) / self.zbar
+        if y <= 0.0:
             return 0.0
-        # (zbar - c) / zbar is exact near zbar, unlike 1 - x.
-        return float(self._upper(p, x, (self.zbar - c) / self.zbar))
+        return float(self._upper(p, min(y, 1.0)))
 
     def _gap(self, y):
         """zbar - E[z|z>=c] from y = (zbar - c)/zbar, scalar or array.
@@ -159,9 +157,9 @@ class SenderDist:
         """
         zbar = self.zbar
         c = np.asarray(c, dtype=float)
-        c_inv = np.maximum(c, EFFECTIVE_ZERO)
-        x, y = c / zbar, (zbar - c) / zbar
+        y = np.clip((zbar - c) / zbar, 0.0, 1.0)
         ez = np.where(c >= zbar - _SUPPORT_TOL, zbar, zbar - self._gap(y))
-        pm_q = self._upper(q, x, y)
-        pm_inv = self._upper(-1.0, c_inv / zbar, (zbar - c_inv) / zbar)
+        pm_q = self._upper(q, y)
+        # The y of max(c, EFFECTIVE_ZERO): rounding keeps y monotone in c.
+        pm_inv = self._upper(-1.0, np.minimum(y, (zbar - EFFECTIVE_ZERO) / zbar))
         return ez, pm_q, pm_inv

@@ -133,7 +133,8 @@ def pooled_action_many(
     concave, so Newton descends monotonically onto the larger root. A
     negative rhs, which only rounding produces (z_h next to z_l), makes f
     convex and decreasing, and Newton climbs onto its only root. f is linear
-    when a = 0. The stop test is 1e-14 + 1e-12 s in s. Every z_h must lie
+    when a = 0. Newton stops on its own step, |du| <= (2-a) 1e-12 u, which is
+    1e-12 relative in s = u^(1/(2-a)), taken once on exit. Every z_h must lie
     strictly inside (z_l, zbar - 1e-9). The residual at sigma(z_h) is exactly
     A k sigma^a z_h^q (ez - z_h); where that is not positive, no root exists.
     A 0-d input gives a float.
@@ -146,13 +147,14 @@ def pooled_action_many(
     c2 = p.beta_cost / z_h
     rhs = _top_rhs(p, sig, z_h)
     e = p.a / (2.0 - p.a)
+    e_rhs = e * rhs
     u = c1 / c2
-    s = u ** (1.0 / (2.0 - p.a))
     for _ in range(100):
         u_e = u**-e
-        u = u - (c1 - c2 * u - rhs * u_e) / (e * rhs * u_e / u - c2)
-        s_prev, s = s, u ** (1.0 / (2.0 - p.a))
-        if (np.abs(s - s_prev) <= 1e-14 + 1e-12 * s).all():
+        du = (c1 - c2 * u - rhs * u_e) / (e_rhs * u_e / u - c2)
+        u = u - du
+        if (np.abs(du) <= (2.0 - p.a) * 1e-12 * u).all():
+            s = u ** (1.0 / (2.0 - p.a))
             return float(s) if np.ndim(s) == 0 else s
     raise ConvergenceError("pooled-action Newton iteration did not converge")
 

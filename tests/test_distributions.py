@@ -186,7 +186,7 @@ class TestTruncMean:
             assert v_next >= v - 1e-9
 
     def test_lower_limit_just_below_zero(self):
-        # betaincc is NaN below x = 0, so the limit must be clamped first.
+        # betainc is NaN for a gap y above 1, so the limit must be clamped first.
         for shape in BASELINE_SHAPES:
             d = SenderDist(*shape, 3)
             assert d.trunc_mean(-5e-10) == pytest.approx(d.mean, rel=1e-12)
@@ -247,6 +247,57 @@ def test_tail_moments_match_scalar(shape, q):
             [d.trunc_mean(x), d.partial_moment(x, q), pm_inv_want],
             rtol=1e-14, atol=0.0,
         )
+
+
+THIN_TAIL_SHAPES = AGREEMENT_SHAPES + ((7.03, 0.34), (0.4, 2.7))
+
+
+@pytest.mark.parametrize("shape", THIN_TAIL_SHAPES)
+def test_moments_exact_in_thin_tails(shape):
+    # Against a 40-digit reference in the exact gap y = (zbar - c)/zbar, for
+    # c from 0 up to a tail of width 1e-10 zbar. The form
+    # 1 - I_{c/zbar}(alpha+p, beta) rounds the gap through c/zbar and is off
+    # by up to 2e-8 relative on this grid.
+    a, b = shape
+    zbar = 3.0
+    d = SenderDist(a, b, zbar)
+    c = np.concatenate((
+        np.linspace(0.0, zbar, 13)[:-1],
+        zbar * (1.0 - np.geomspace(0.5, 1e-10, 25)),
+    ))
+    exponents = (0.0, 0.5, 1.0, 2.0) + ((-1.0,) if a > 1 else ())
+    with mpmath.workdps(40):
+        norm = mpmath.beta(a, b)
+
+        def want(x: float, p: float) -> mpmath.mpf:
+            y = (mpmath.mpf(zbar) - mpmath.mpf(x)) / zbar
+            return zbar**p * mpmath.betainc(b, a + p, 0, y) / norm
+
+        for p in exponents:
+            ok = c >= EFFECTIVE_ZERO if p == -1.0 else np.full(c.shape, True)
+            ref = [want(x, p) for x in c[ok]]
+            scalar = [d.partial_moment(x, p) for x in c[ok]]
+            if p == -1.0:
+                array = d.tail_moments(c, 1.0)[2][ok]
+            else:
+                array = d.tail_moments(c, p)[1]
+            for got in (scalar, array):
+                for x, g, w in zip(c[ok], got, ref):
+                    assert abs(float((g - w) / w)) <= 1e-13, (shape, p, x)
+
+
+@pytest.mark.parametrize("shape", THIN_TAIL_SHAPES)
+def test_moments_clamp_at_support_edges(shape):
+    # Lower limits within the support tolerance outside [0, zbar] take the
+    # values at the nearest edge, not NaN.
+    d = SenderDist(*shape, 3.0)
+    below, above = -5e-10, 3.0 + 5e-10
+    for p in (0.0, 0.5, 1.0, 2.0):
+        assert d.partial_moment(below, p) == d.partial_moment(0.0, p)
+        assert d.partial_moment(above, p) == 0.0
+        np.testing.assert_array_equal(d.tail_moments(below, p), d.tail_moments(0.0, p))
+        np.testing.assert_array_equal(d.tail_moments(above, p), (3.0, 0.0, 0.0))
+    assert d.partial_moment(above, -1.0) == 0.0
 
 
 def test_invalid_shapes_rejected():

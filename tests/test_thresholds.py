@@ -268,6 +268,12 @@ class TestPooledActionMany:
             (ModelParams(a=0.0), (1, 1)),
             (ModelParams(a=0.6, q=1.5), (5, 3)),
             (ModelParams(a=0.9, q=0.1, k=2.0), (3, 5)),
+        ]
+        # a = 0 makes the residual linear in u; a near 1 makes it steepest.
+        + [
+            (ModelParams(a=a, q=q), shape)
+            for a in (0.0, 0.9, 0.99)
+            for q, shape in ((0.0, (1, 1)), (2.0, (5, 3)))
         ],
     )
     def test_matches_scalar_over_full_rows(self, params, shape):
@@ -277,9 +283,15 @@ class TestPooledActionMany:
         for i in (0, 17, 45):
             path = SeparatingPath(params, grid[i], 3.0)
             z_h = grid[i + 1:-1]  # row 0 starts at z_h = grid[1]
-            got = pooled_action_many(params, path.sigma_many(z_h), z_h, ez[i:])
+            sig = path.sigma_many(z_h)
+            got = pooled_action_many(params, sig, z_h, ez[i:])
             want = np.array([pooled_action_by_brentq(params, d, path, z) for z in z_h])
             assert np.all(np.abs(got - want) <= 2.0 * (1e-14 + 1e-12 * want))
+            # One point at a time through the same code gives a float.
+            for j, z in enumerate(z_h):
+                one = pooled_action_many(params, sig[j], z, ez[i + j])
+                assert type(one) is float
+                assert abs(one - want[j]) <= 2.0 * (1e-14 + 1e-12 * want[j])
 
     def test_empty_row(self, baseline):
         empty = np.array([])
