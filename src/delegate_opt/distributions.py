@@ -69,9 +69,9 @@ class SenderDist:
     def pdf(self, z: float | np.ndarray) -> float | np.ndarray:
         """Density of the scaled Beta; 0 on the boundary where the exponent allows."""
         z_arr = np.asarray(z, dtype=float)
-        if np.any(z_arr < -_SUPPORT_TOL) or np.any(z_arr > self.zbar + _SUPPORT_TOL):
+        if ((z_arr < -_SUPPORT_TOL) | (z_arr > self.zbar + _SUPPORT_TOL)).any():
             raise DomainError(f"pdf argument outside [0, {self.zbar}]")
-        u = np.clip(z_arr / self.zbar, 0.0, 1.0)
+        u = np.minimum(np.maximum(z_arr / self.zbar, 0.0), 1.0)
         ln_b = (
             math.lgamma(self.alpha) + math.lgamma(self.beta_shape)
             - math.lgamma(self.alpha + self.beta_shape)
@@ -82,7 +82,7 @@ class SenderDist:
                 + (self.beta_shape - 1.0) * np.log1p(-u)
                 - ln_b - math.log(self.zbar)
             )
-        out = np.where(np.isnan(ln_pdf) | np.isinf(ln_pdf), 0.0, np.exp(ln_pdf))
+        out = np.where(np.isfinite(ln_pdf), np.exp(ln_pdf), 0.0)
         # alpha == 1 (beta_shape == 1) keeps a finite boundary density.
         if self.alpha == 1.0:
             out = np.where(u == 0.0, math.exp(-ln_b) / self.zbar, out)
@@ -127,17 +127,17 @@ class SenderDist:
         return float(self._upper(p, min(y, 1.0)))
 
     def _gap(self, y):
-        """zbar - E[z|z>=c] from y = (zbar - c)/zbar, scalar or array.
+        """zbar - E[z|z>=c] and P(z >= c) from y = (zbar - c)/zbar, scalar or array.
 
         Unlike 1 - c/zbar, that y is exact near zbar.
         """
         a, b = self.alpha, self.beta_shape
-        num = betainc(b + 1.0, a, y)
+        num, mass = betainc(b + 1.0, a, y), betainc(b, a, y)
         # I_y(b+1, a) <= I_y(b, a) (DLMF 8.17.20), so the floor only acts
         # where the limit replaces the ratio, and keeps 0/0 out there.
-        ratio = num / np.maximum(betainc(b, a, y), _TINY)
+        ratio = num / np.maximum(mass, _TINY)
         limit = y * b / (b + 1.0)
-        return self.zbar * np.where(num < _TINY, limit, b / (a + b) * ratio)
+        return self.zbar * np.where(num < _TINY, limit, b / (a + b) * ratio), mass
 
     def trunc_mean(self, c: float) -> float:
         """Conditional mean E[z | z >= c]."""
@@ -145,12 +145,10 @@ class SenderDist:
             raise DomainError(f"threshold {c} outside [0, {self.zbar}]")
         if c >= self.zbar - _SUPPORT_TOL:
             return self.zbar
-        return float(self.zbar - self._gap((self.zbar - max(c, 0.0)) / self.zbar))
+        return float(self.zbar - self._gap((self.zbar - max(c, 0.0)) / self.zbar)[0])
 
-    def tail_moments(
-        self, c: np.ndarray, q: float
-    ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """E[z|z>=c], int_c^zbar z^q g and int_{max(c, EFFECTIVE_ZERO)}^zbar g/z.
+    def tail_moments(self, c: np.ndarray, q: float) -> tuple[np.ndarray, ...]:
+        """E[z|z>=c], int_c^zbar z^q g, int_{max(c, EFFECTIVE_ZERO)}^zbar g/z, P(z>=c).
 
         The array twin of ``trunc_mean`` and ``partial_moment`` (same closed
         forms) for lower limits c in [0, zbar] and q >= 0.
@@ -158,8 +156,9 @@ class SenderDist:
         zbar = self.zbar
         c = np.asarray(c, dtype=float)
         y = np.clip((zbar - c) / zbar, 0.0, 1.0)
-        ez = np.where(c >= zbar - _SUPPORT_TOL, zbar, zbar - self._gap(y))
+        gap, mass = self._gap(y)
+        ez = np.where(c >= zbar - _SUPPORT_TOL, zbar, zbar - gap)
         pm_q = self._upper(q, y)
         # The y of max(c, EFFECTIVE_ZERO): rounding keeps y monotone in c.
         pm_inv = self._upper(-1.0, np.minimum(y, (zbar - EFFECTIVE_ZERO) / zbar))
-        return ez, pm_q, pm_inv
+        return ez, pm_q, pm_inv, mass

@@ -41,6 +41,12 @@ SWEEP_VARS = {1: "zbar", 2: "k", 3: "q", 4: "q", 5: "alpha"}
 ENFORCED_T_H = {(4, 1, 1, 1.0, 0.0): (0.57, 0.01)}
 
 
+def _row_key(row) -> tuple:
+    """A row's golden key: its design and configuration, rounded to 6 decimals."""
+    config = (row.alpha, row.beta_shape, row.q, row.k, row.a, row.zbar)
+    return (row.design, *(round(x, 6) for x in config))
+
+
 @dataclass(frozen=True)
 class DesignRow:
     design: int
@@ -62,12 +68,7 @@ class DesignRow:
     eq_class: str
     percentile_zh: float
 
-    def key(self) -> tuple:
-        return (
-            self.design, round(self.alpha, 6), round(self.beta_shape, 6),
-            round(self.q, 6), round(self.k, 6), round(self.a, 6),
-            round(self.zbar, 6),
-        )
+    key = _row_key
 
 
 CSV_COLUMNS = [
@@ -213,12 +214,7 @@ class GoldenRow:
     x_h: float
     s_h: float
 
-    def key(self) -> tuple:
-        return (
-            self.design, round(self.alpha, 6), round(self.beta_shape, 6),
-            round(self.q, 6), round(self.k, 6), round(self.a, 6),
-            round(self.zbar, 6),
-        )
+    key = _row_key
 
 
 @dataclass(frozen=True)

@@ -1,30 +1,18 @@
 """Maximize aggregate net surplus over the threshold triangle.
 
-The optimum of {0 <= z_l <= z_h <= zbar} lies on the z_l = 0 edge
-(Pi_w(0, z_h)) or on the pooling diagonal (Pi_p(z)), so only those two lines
-are searched, each through one array-valued objective (``surplus.pi_w_edge``
-and ``surplus.pi_p_many``). Stage one scans both on a regular grid, 2n - 1
-cells in all, one objective call per line. Stage two refines both lines in
-batches, from the best cell of each: a zoom round of _ZOOM points across the
-two grid cells around it, then safeguarded parabolic steps, each evaluating a
-three-point stencil of width tol, until a stencil's middle is its best point.
-That takes three objective calls on most lines. The grid best's own branch
-comes first; the other branch replaces its result only if it wins by more
-than the tie tolerance. Everything is deterministic; rerunning a
-configuration reproduces the result bitwise.
-
-On the edge the separating part is ``surplus.sep_part``'s closed form and
-the pooled actions come from one array root solve; on the diagonal the
-pooled action s*(z) is one array expression. The pooling-tail integrals are
-``SenderDist.tail_moments``, computed once for the scanned grid, which both
-lines share, and once per refinement batch. No stage calls adaptive
-quadrature.
+The optimum of {0 <= z_l <= z_h <= zbar} lies on the z_l = 0 edge Pi_w(0, z_h)
+or on the pooling diagonal Pi_p(z). Each line has one array objective
+(``surplus.pi_w_edge``, ``surplus.pi_p_many``) giving its value and closed-form
+slope. Stage one scans both on a grid, 2n - 1 cells in all. Stage two solves
+for a root of each line's slope in the grid cells around its best cell, both
+lines in lockstep; a root replaces the current optimum whenever its value is
+higher, the grid best's own line first. No stage calls adaptive quadrature,
+and reruns reproduce a result bitwise.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable
 
 import numpy as np
 
@@ -34,10 +22,6 @@ from .distributions import EFFECTIVE_ZERO, SenderDist
 from .errors import ConfigError, ConvergenceError
 from .model import ModelParams
 
-_ZOOM = 25  # points per zoom round; odd, so a centred best cell is one of them
-_MAX_ROUNDS = 100
-# Relative size a stencil's second difference needs to stand clear of rounding.
-_NOISE = 1e-12
 _TIE_TOL = 1e-9
 _FLAT_TOL = 1e-10
 _CERT_TOL = 1e-8
@@ -67,7 +51,7 @@ class DelegationOutcome:
 
 
 class _Scan:
-    """Objective values on the z_l = 0 edge and the pooling diagonal.
+    """Objective values and slopes on the z_l = 0 edge and the pooling diagonal.
 
     ``edge[j]`` is Pi_w(0, grid[j]) and ``diag[i]`` is Pi_p(grid[i]); the
     corner (0, 0) lies on both.
@@ -78,9 +62,10 @@ class _Scan:
         self.grid = np.linspace(0.0, d.zbar, n)
         self.n_evals = 2 * n - 1
         moments = d.tail_moments(self.grid, p.q)
-        self.diag = sp.pi_p_many(p, d, self.grid, moments)
+        self.diag, self.diag_slope = sp.pi_p_many(p, d, self.grid, moments)
         edge = sp.pi_w_edge(p, d, self.grid[1:], tuple(m[1:] for m in moments))
-        self.edge = np.concatenate((self.diag[:1], edge))
+        self.edge = np.concatenate((self.diag[:1], edge[0]))
+        self.edge_slope = np.concatenate((self.diag_slope[:1], edge[1]))
 
     def best(self) -> tuple[int, int, float, bool, bool]:
         """Best scanned cell: value first, then larger z_h, then smaller z_l."""
@@ -96,76 +81,76 @@ class _Scan:
         flat = bool(np.any((np.abs(ii[near] - i) > 1) | (np.abs(jj[near] - j) > 1)))
         return i, j, float(values[k]), len(tied) > 1, flat
 
-    def best_edge_column(self) -> int:
-        """Best column j >= 1 of the z_l = 0 edge, the larger z_h on ties."""
-        return _last_best(self.edge[1:]) + 1
 
-    def best_diagonal_cell(self) -> int:
-        """Best cell of the pooling diagonal, the larger z on ties."""
-        return _last_best(self.diag)
-
-
-def _last_best(values: np.ndarray) -> int:
-    """Last index within the tie tolerance of the maximum."""
-    return int(np.flatnonzero(values >= values.max() - _TIE_TOL)[-1])
+def _iqi(z, s) -> float:
+    """Root of the quadratic z(s) through three points (Brent's inverse
+    quadratic interpolation); NaN unless the three slopes are distinct."""
+    if len(set(s)) < 3:
+        return np.nan
+    return sum(z[i] * s[i - 1] * s[i - 2] / ((s[i] - s[i - 1]) * (s[i] - s[i - 2]))
+               for i in range(3))
 
 
-def _vertex(x: np.ndarray, f: np.ndarray) -> float | None:
-    """Vertex of the parabola through three points, None unless it is concave."""
-    s01 = (f[1] - f[0]) / (x[1] - x[0])
-    s12 = (f[2] - f[1]) / (x[2] - x[1])
-    curve = (s12 - s01) / (x[2] - x[0])
-    if not curve < 0.0:
-        return None
-    return 0.5 * (x[0] + x[1]) - s01 / (2.0 * curve)
+def _root_search(z: np.ndarray, f: np.ndarray, s: np.ndarray, tol: float):
+    """Bracketed root of a line's slope: a generator that yields each round's
+    points and is sent back their (values, slopes).
 
-
-def _refine_max(
-    f: Callable[[np.ndarray], np.ndarray], lo: float, hi: float, tol: float
-) -> tuple[float, float, int]:
-    """Maximize a unimodal objective on [lo, hi] to within tol, in batches.
-
-    ``f`` maps an array of points to their values. The bracket is the
-    interval between the best point's neighbours among all points evaluated
-    so far. A parabolic round evaluates the stencil
-    {v - tol/2, v, v + tol/2}, clipped to the bracket, around the vertex v of
-    a parabola: through the last stencil (a Newton step), or after a zoom
-    through the best point and its neighbours. It runs when that parabola is
-    concave with v inside the bracket and the step to v is less than half
-    the step before last (Brent's safeguard); otherwise a zoom round
-    evaluates _ZOOM points across the bracket. The search stops once the
-    bracket is at most tol wide or a stencil's middle is the best point: for
-    a unimodal objective the argmax then lies within tol of it. Returns the
-    best point, its value and the number of distinct points evaluated.
+    ``z``, ``f``, ``s`` hold the line's best grid cell and its neighbours; an
+    end pulled inside [EFFECTIVE_ZERO, zbar - EFFECTIVE_ZERO], where
+    ``classify`` snaps, has a NaN slope that a first round fills. The bracket
+    is the cell the best cell's slope points into. A round evaluates v and
+    v -/+ tol/2; a sign change of the slope across them ends the search on
+    their best point. Otherwise the next v is the root of the quadratic z(s)
+    through the outer two and the far end (Brent 1973), as the first v is
+    through the grid; outside the bracket, regula falsi, or bisection if the
+    last round did not halve it. Returns (z, value, slope, root); with no
+    sign change across the bracket, its better end (root False).
     """
-    x = np.linspace(lo, hi, _ZOOM)
-    fx = f(x)
-    xs, fs = x, fx
-    steps = [hi - lo, hi - lo]
-    v = None
-    for _ in range(_MAX_ROUNDS):
-        k = int(np.argmax(fs))
-        left, right = xs[max(k - 1, 0)], xs[min(k + 1, xs.size - 1)]
-        if right - left <= tol or xs[k] == v:
-            return float(xs[k]), float(fs[k]), xs.size
-        v = None
-        if x.size == 3 and abs(fx[0] - 2.0 * fx[1] + fx[2]) >= _NOISE * abs(fx[1]):
-            v = _vertex(x, fx)
-        elif 0 < k < xs.size - 1:
-            v = _vertex(xs[k - 1:k + 2], fs[k - 1:k + 2])
-        if v is not None and left < v < right and abs(v - xs[k]) < 0.5 * steps[-2]:
-            steps.append(abs(v - xs[k]))
-            x = np.array([v - 0.5 * tol, v, v + 0.5 * tol])
-            x = x[(x > left) & (x < right)]
-        else:
-            v = None
-            steps.append(right - left)
-            x = np.linspace(left, right, _ZOOM)[1:-1]
-        fx = f(x)
-        # A point evaluated twice keeps its first value.
-        xs, first = np.unique(np.concatenate((xs, x)), return_index=True)
-        fs = np.concatenate((fs, fx))[first]
-    raise ConvergenceError(f"refinement on [{lo}, {hi}] did not converge")
+    nan = np.isnan(s)
+    if nan.any():
+        x, back = np.unique(z[nan], return_inverse=True)
+        fx, sx = yield x
+        f[nan], s[nan] = fx[back], sx[back]
+    k = 1 if s[1] > 0.0 else 0
+    lo, hi = (z[k], f[k], s[k]), (z[k + 1], f[k + 1], s[k + 1])
+    if not lo[2] > 0.0 > hi[2]:
+        return (*max((lo, hi), key=lambda pt: pt[1]), False)
+    v, last = _iqi(z, s), np.inf
+    while hi[0] - lo[0] > tol:
+        (a, _, sa), (b, _, sb) = lo, hi
+        if not a < v < b:
+            v = a - sa * (b - a) / (sb - sa) if b - a <= 0.5 * last else 0.5 * (a + b)
+        last = b - a
+        x = min(max(v - 0.5 * tol, a), b - tol) + tol * np.array([0.0, 0.5, 1.0])
+        fx, sx = yield x
+        stencil = list(zip(x, fx, sx))
+        if sx[0] >= 0.0 >= sx[-1]:
+            return (*max(stencil, key=lambda pt: pt[1]), True)
+        lo, hi, far = (stencil[-1], hi, hi) if sx[-1] > 0.0 else (lo, stencil[0], lo)
+        v = _iqi((x[0], x[-1], far[0]), (sx[0], sx[-1], far[2]))
+    return (*max((lo, hi), key=lambda pt: pt[1]), True)
+
+
+def _refine(p: ModelParams, d: SenderDist, searches: list) -> tuple[list, int]:
+    """Run (objective, search) pairs in lockstep; returns results, points used."""
+    results, replies, n_evals = [None] * len(searches), [None] * len(searches), 0
+    for _ in range(100):
+        points = {}
+        for i, (_, search) in enumerate(searches):
+            if results[i] is None:
+                try:
+                    points[i] = search.send(replies[i])
+                except StopIteration as stop:
+                    results[i] = stop.value
+        if not points:
+            return results, n_evals
+        moments = d.tail_moments(np.concatenate(list(points.values())), p.q)
+        at = 0
+        for i, x in points.items():
+            replies[i] = searches[i][0](p, d, x, tuple(m[at:at + x.size] for m in moments))
+            at += x.size
+        n_evals += at
+    raise ConvergenceError("refinement did not bracket a root of the slope")
 
 
 def optimize(
@@ -177,37 +162,30 @@ def optimize(
     gi, gj, g_val, tie_break, flat = sweep.best()
     grid = sweep.grid
     z_l, z_h, val = grid[gi], grid[gj], g_val
-    method = "none"
-    refine_evals = 0
-
-    # A refined point replaces the current optimum only when it wins by more
-    # than the tie tolerance; on noise-flat plateaus the structured grid
-    # point (e.g. the exact pooling corner) is kept.
+    slope = sweep.diag_slope[gi] if gi == gj else sweep.edge_slope[gj]
+    method, refine_evals = "none", 0
     if opts.refine != "none":
-        # Each line is searched around its own best cell; the grid best's own
-        # line goes first. Both brackets start at EFFECTIVE_ZERO at the
-        # lowest: resolve snaps any point below it to the z = 0 corner, where
-        # the pooled value s*^a drops to 0^a = 0 for a tiny positive a.
-        top = opts.grid - 1
-        i, j = sweep.best_diagonal_cell(), sweep.best_edge_column()
-        diagonal = (
-            "golden-diagonal", lambda z: (z, z),
-            lambda z: sp.pi_p_many(p, d, z, d.tail_moments(z, p.q)),
-            max(grid[max(i - 1, 0)], EFFECTIVE_ZERO),
-            min(grid[min(i + 1, top)], d.zbar * (1.0 - 1e-12)),
-        )
-        edge = (
-            "golden-edge", lambda z: (0.0, z),
-            lambda z: sp.pi_w_edge(p, d, z, d.tail_moments(z, p.q)),
-            max(grid[j - 1], EFFECTIVE_ZERO), grid[min(j + 1, top)],
-        )
-        branches = (diagonal, edge) if gi == gj else (edge, diagonal)
-        method = branches[0][0]
-        for name, point, objective, a, b in branches:
-            z, v, n_evals = _refine_max(objective, a, b, opts.tol)
-            refine_evals += n_evals
-            if v > val + _TIE_TOL:
-                (z_l, z_h), val, method = point(z), v, name
+        lines = [("golden-diagonal", sp.pi_p_many, sweep.diag, sweep.diag_slope, 0),
+                 ("golden-edge", sp.pi_w_edge, sweep.edge, sweep.edge_slope, 1)]
+        if gi != gj:
+            lines.reverse()
+        searches = []
+        for _, objective, values, slopes, first in lines:
+            # The line's best cell: the larger z on ties.
+            tail = values[first:]
+            c = first + np.flatnonzero(tail >= tail.max() - _TIE_TOL)[-1]
+            k = np.array([max(c - 1, 0), c, min(c + 1, opts.grid - 1)])
+            z = np.clip(grid[k], EFFECTIVE_ZERO, d.zbar - EFFECTIVE_ZERO)
+            s_k = np.where(z == grid[k], slopes[k], np.nan)
+            searches.append((objective, _root_search(z, values[k], s_k, opts.tol)))
+        method = lines[0][0]
+        results, refine_evals = _refine(p, d, searches)
+        # The tie tolerance guards only points that are not roots, such as
+        # the exact pooling corner against the line's end EFFECTIVE_ZERO away.
+        for (name, *_), (z, v, s, root) in zip(lines, results):
+            if v > val + (0.0 if root else _TIE_TOL):
+                z_l = z if name == "golden-diagonal" else 0.0
+                z_h, val, slope, method = z, v, s, name
     record = th.resolve(p, d, z_l, z_h)
     breakdown = sp.surplus_of(p, d, record)
     diagnostics = {
@@ -219,6 +197,10 @@ def optimize(
         "tie_break_applied": tie_break,
         "flat_objective": flat,
         "certificate": float(breakdown.total - g_val),
+        "foc_residual": float(slope),
+        "active_bound": "zbar" if record.eq_class == th.SEPARATING else (
+            "corner" if record.z_h <= EFFECTIVE_ZERO else None
+        ),
     }
     if breakdown.total < g_val - _CERT_TOL:
         raise ConvergenceError(

@@ -44,7 +44,7 @@ import numpy as np
 from scipy.special import betainc, betaln
 
 from . import thresholds
-from .distributions import EFFECTIVE_ZERO, SenderDist
+from .distributions import _TINY, EFFECTIVE_ZERO, SenderDist
 from .errors import DomainError
 from .model import ModelParams
 from .quadrature import integrate
@@ -109,7 +109,7 @@ def pool_part(
     out = np.where(
         np.asarray(z_h) >= d.zbar - _TOP_GUARD,
         0.0,
-        _pooled_net(p, s_h, *d.tail_moments(z_h, p.q)),
+        _pooled_net(p, s_h, *d.tail_moments(z_h, p.q)[:3]),
     )
     return float(out) if out.ndim == 0 else out
 
@@ -141,40 +141,61 @@ def pi_p(p: ModelParams, d: SenderDist, z_star: float) -> float:
 
 def pi_w_edge(
     p: ModelParams, d: SenderDist, z_h: np.ndarray, moments: tuple
-) -> np.ndarray:
-    """Pi_w(0, z_h) at many z_h > 0 in one batch: ``pi_w(p, d, 0, z_h).total``.
+) -> tuple[np.ndarray, np.ndarray]:
+    """Pi_w(0, z_h) and its slope at many z_h > 0 in one batch.
 
-    ``moments`` is ``d.tail_moments(z_h, p.q)``.
+    The value is ``pi_w(p, d, 0, z_h).total``; ``moments`` is
+    ``d.tail_moments(z_h, p.q)``. In the slope K z^P g + dPool/dz, K z^P g
+    cancels the pooled density the tail loses by the top equation
+    F = X - beta s^2/z - rhs(z) = 0, X = A k s^a z^q E. The rest moves s_h by
+    -F_z/F_s, with s F_s = (a-2) X + 2 rhs and z F_z = X (q+1 + z E'/E) -
+    (P+1) rhs, and E by E'. It is 0 in the top guard, where the value is Pi_s.
     """
     z_h = np.asarray(z_h, dtype=float)
-    ez, pm_q, pm_inv = moments
     path = SeparatingPath(p, 0.0, d.zbar)
     top = z_h >= d.zbar - _TOP_GUARD
-    sep = sep_part(p, d, path, 0.0, np.where(top, d.zbar, z_h))
-    s_h = np.zeros_like(z_h)
-    s_h[~top] = thresholds.pooled_action_many(
-        p, path.sigma_many(z_h[~top]), z_h[~top], ez[~top]
-    )
-    return sep + np.where(top, 0.0, _pooled_net(p, s_h, ez, pm_q, pm_inv))
+    value, slope = sep_part(p, d, path, 0.0, np.where(top, d.zbar, z_h)), np.zeros_like(z_h)
+    z, sig = z_h[~top], path.sigma_many(z_h[~top])
+    e, m_q, m_inv, mass = (m[~top] for m in moments)
+    s = thresholds.pooled_action_many(p, sig, z, e)
+    value[~top] += _pooled_net(p, s, e, m_q, m_inv)
+    dez = d.pdf(z) * (e - z) / np.maximum(mass, _TINY)  # E' = g (E - z)/P(z >= z_h)
+    power = (2.0 + 2.0 * p.q + p.a) / (2.0 - p.a)
+    lead, rhs = p.A * p.k * s**p.a, thresholds._top_rhs(p, sig, z)
+    x = lead * z**p.q * e
+    z_f_z = x * (p.q + 1.0 + z * dez / e) - (power + 1.0) * rhs
+    # s dPool/ds, with beta s^2 = (X - rhs) z.
+    s_d_pool = p.a * lead * e * m_q - 2.0 * (x - rhs) * z * m_inv
+    slope[~top] = lead * dez * m_q - z_f_z * s_d_pool / (z * ((p.a - 2.0) * x + 2.0 * rhs))
+    return value, slope
 
 
 def pi_p_many(
     p: ModelParams, d: SenderDist, z_star: np.ndarray, moments: tuple
-) -> np.ndarray:
-    """Pi_p(z*) at many z* in [0, zbar] in one batch: ``pi_p(p, d, z*)``.
+) -> tuple[np.ndarray, np.ndarray]:
+    """Pi_p(z*) and its slope at many z* in [0, zbar] in one batch.
 
-    ``moments`` is ``d.tail_moments(z_star, p.q)``. The pooled action is
-    ``pooling_star``'s closed form, zero below EFFECTIVE_ZERO.
+    The value is ``pi_p(p, d, z*)``; ``moments`` is
+    ``d.tail_moments(z_star, p.q)``. The pooled action is ``pooling_star``'s
+    closed form s*, zero below EFFECTIVE_ZERO. As beta s*^2 = A k s*^a z*^(q+1) E,
+    Pi_p = A k s*^a E W with W = M_q - z*^(q+1) M_inv, whose slope is
+    Pi_p (a (q+1)/z* + 2 E'/E)/(2-a) + A k s*^a E W', W' = -(q+1) z*^q M_inv;
+    0 where the value is constant: below EFFECTIVE_ZERO and in the top guard.
     """
     z_star = np.asarray(z_star, dtype=float)
-    ez, pm_q, pm_inv = moments
+    ez, pm_q, pm_inv, mass = moments
     s_star = (
         z_star ** (p.q + 1.0) * p.A * p.k * ez / p.beta_cost
     ) ** (1.0 / (2.0 - p.a))
     s_star = np.where(z_star < EFFECTIVE_ZERO, 0.0, s_star)
-    return np.where(
-        z_star >= d.zbar - _TOP_GUARD, 0.0, _pooled_net(p, s_star, ez, pm_q, pm_inv)
-    )
+    top = z_star >= d.zbar - _TOP_GUARD
+    value = np.where(top, 0.0, _pooled_net(p, s_star, ez, pm_q, pm_inv))
+    with np.errstate(divide="ignore", invalid="ignore"):
+        dez = d.pdf(z_star) * (ez - z_star) / np.maximum(mass, _TINY)
+        rate = p.a * (p.q + 1.0) / z_star + 2.0 * dez / ez
+        d_w = -(p.q + 1.0) * z_star**p.q * pm_inv
+        slope = value * rate / (2.0 - p.a) + p.A * p.k * s_star**p.a * ez * d_w
+    return value, np.where(top | (z_star < EFFECTIVE_ZERO), 0.0, slope)
 
 
 def pi_s(p: ModelParams, d: SenderDist, z_l: float = 0.0) -> float:

@@ -231,15 +231,15 @@ class TestTruncMean:
 @pytest.mark.parametrize("shape", AGREEMENT_SHAPES)
 def test_tail_moments_match_scalar(shape, q):
     # The array twin of trunc_mean and partial_moment: the same values, all
-    # finite, up to the top of the support.
+    # finite, up to the top of the support, plus the tail mass.
     d = SenderDist(*shape, 3)
     c = np.concatenate((
         np.linspace(0.0, 3.0, 61),
         np.random.default_rng(7).uniform(0.0, 3.0, 40),
         3.0 - np.geomspace(1e-8, 0.5, 20),
     ))
-    ez, pm_q, pm_inv = d.tail_moments(c, q)
-    assert np.all(np.isfinite([ez, pm_q, pm_inv]))
+    ez, pm_q, pm_inv, mass = d.tail_moments(c, q)
+    assert np.all(np.isfinite([ez, pm_q, pm_inv, mass]))
     for i, x in enumerate(c):
         pm_inv_want = d.partial_moment(max(x, EFFECTIVE_ZERO), -1.0)
         np.testing.assert_allclose(
@@ -247,6 +247,9 @@ def test_tail_moments_match_scalar(shape, q):
             [d.trunc_mean(x), d.partial_moment(x, q), pm_inv_want],
             rtol=1e-14, atol=0.0,
         )
+        # The tail mass P(z >= c); 1 - cdf carries the cdf's rounding near 1,
+        # up to 5e-13 absolute on (2, 0.5).
+        np.testing.assert_allclose(mass[i], 1.0 - d.cdf(x), rtol=1e-12, atol=1e-12)
 
 
 THIN_TAIL_SHAPES = AGREEMENT_SHAPES + ((7.03, 0.34), (0.4, 2.7))
@@ -296,7 +299,7 @@ def test_moments_clamp_at_support_edges(shape):
         assert d.partial_moment(below, p) == d.partial_moment(0.0, p)
         assert d.partial_moment(above, p) == 0.0
         np.testing.assert_array_equal(d.tail_moments(below, p), d.tail_moments(0.0, p))
-        np.testing.assert_array_equal(d.tail_moments(above, p), (3.0, 0.0, 0.0))
+        np.testing.assert_array_equal(d.tail_moments(above, p), (3.0, 0.0, 0.0, 0.0))
     assert d.partial_moment(above, -1.0) == 0.0
 
 

@@ -45,6 +45,9 @@ class TestBaselineOptimum:
         assert rec.eq_class == POOLING
         assert rec.z_h == 0.0 and rec.t_h == 0.0 and rec.s_h == 0.0
         assert out.interval == (0.0, 0.0)
+        # The diagonal's slope is negative at EFFECTIVE_ZERO: a corner
+        # optimum, where the exact corner cell beats the line's end.
+        assert out.diagnostics["active_bound"] == "corner"
 
     def test_scale_invariance_in_k(self, uniform3):
         z_hs = [
@@ -85,6 +88,8 @@ class TestCertificates:
     def test_grid_certificate_recorded(self, baseline, uniform3):
         out = optimize(baseline, uniform3)
         assert out.diagnostics["certificate"] >= -1e-8
+        assert out.diagnostics["active_bound"] is None
+        assert abs(out.diagnostics["foc_residual"]) <= 1e-5
         # The z_l = 0 edge and the pooling diagonal share the (0, 0) cell.
         assert out.diagnostics["n_grid_evals"] == 2 * 61 - 1
 
@@ -249,8 +254,9 @@ def test_refined_edge_optimum_matches_reference(baseline, shape):
 
 
 def test_refinement_call_budget(monkeypatch):
-    # Batched refinement: a few array objective calls per line, counted (not
-    # timed) over all 311 design rows. The first call on each line is the scan.
+    # Lockstep root search: a few array objective calls per line, counted
+    # (not timed) over all 311 design rows. The first call on each line is
+    # the scan; each later one is a round of that line's root search.
     calls = Counter()
     for name in ("pi_w_edge", "pi_p_many"):
         def counted(*args, inner=getattr(sp, name), name=name):
@@ -264,6 +270,62 @@ def test_refinement_call_budget(monkeypatch):
         optimize(ModelParams(a=g.a, k=g.k, q=g.q), d)
         assert 2 <= calls["pi_w_edge"] <= 7, g.key()
         assert 2 <= calls["pi_p_many"] <= 7, g.key()
+
+
+def _edge_slope(p: ModelParams, d: SenderDist, z) -> np.ndarray:
+    z = np.asarray(z, dtype=float)
+    return sp.pi_w_edge(p, d, z, d.tail_moments(z, p.q))[1]
+
+
+def test_design_rows_return_bracketed_slope_roots():
+    # First-order condition: on every StrictlyWellBehaved design row the
+    # returned z_h is within tol of a root of the edge slope, which is
+    # positive tol below it and negative tol above it.
+    tol = OptimizerOptions().tol
+    rows = 0
+    for g in load_golden():
+        p = ModelParams(a=g.a, k=g.k, q=g.q)
+        d = SenderDist(g.alpha, g.beta_shape, g.zbar)
+        out = optimize(p, d)
+        if out.thresholds.eq_class != STRICTLY_WELL_BEHAVED:
+            continue
+        rows += 1
+        z_h = out.thresholds.z_h
+        below, above = _edge_slope(p, d, [z_h - tol, z_h + tol])
+        assert below > 0.0 > above, g.key()
+        assert out.diagnostics["active_bound"] is None, g.key()
+        assert below > out.diagnostics["foc_residual"] > above, g.key()
+    assert rows == 280
+
+
+@pytest.mark.parametrize(
+    "params, shape, root",
+    [
+        (ModelParams(q=1.7), (3, 5, 3), 2.149733),
+        (ModelParams(q=1.2, a=0.9), (5, 5, 3), 2.350110),
+        (ModelParams(q=1.5, a=0.3), (5, 5, 3), 1.300043),
+    ],
+)
+def test_refined_root_beats_grid_cell_by_less_than_tie_tolerance(params, shape, root):
+    # Design rows (3, 5) q = 1.7, (5, 5) q = 1.2 a = 0.9 and (5, 5) q = 1.5
+    # a = 0.3: the root of the edge slope beats the grid cell z_h = 2.15,
+    # 2.35 and 1.3 by only 3e-10 to 8e-10, below the 1e-9 tie tolerance,
+    # but the slope at the grid cell is 6e-6 to 1.5e-5, so the root wins.
+    out = optimize(params, SenderDist(*shape))
+    assert out.diagnostics["refine_method"] == "golden-edge"
+    assert abs(out.thresholds.z_h - root) <= 1e-6
+    assert out.surplus.total > out.diagnostics["grid_best"]["value"]
+
+
+@pytest.mark.parametrize("shape", BASELINE_SHAPES)
+def test_edge_optimum_meets_kkt_in_z_l(baseline, shape):
+    # The reduction to the z_l = 0 edge, checked at its optimum: raising z_l
+    # off its bound does not raise the surplus (KKT: dPi/dz_l <= 0). The
+    # z_l > 0 surplus is QUADPACK's, hence the 1e-8 slack.
+    d = SenderDist(*shape, 3)
+    z_h = optimize(baseline, d).thresholds.z_h
+    step = pi_w(baseline, d, 0.01, z_h).total - pi_w(baseline, d, 0.0, z_h).total
+    assert step <= 1e-8
 
 
 def test_tiny_signal_productivity_solves():

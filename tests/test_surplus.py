@@ -239,12 +239,60 @@ def test_batched_lines_match_scalar(shape):
     z = np.append(rng.uniform(EFFECTIVE_ZERO, 3.0, 25), [3.0 - 1e-3, 3.0 - 1e-10])
     for p in (ModelParams(), random_admissible(rng), random_admissible(rng)):
         moments = d.tail_moments(z, p.q)
-        edge, diag = pi_w_edge(p, d, z, moments), pi_p_many(p, d, z, moments)
+        edge, diag = pi_w_edge(p, d, z, moments)[0], pi_p_many(p, d, z, moments)[0]
         want = [
             [pi_w(p, d, 0.0, float(zi)).total for zi in z],
             [pi_p(p, d, float(zi)) for zi in z],
         ]
         np.testing.assert_allclose([edge, diag], want, rtol=1e-12, atol=0.0)
+
+
+# The shapes and parameters the slope test adds to the seeded box: the
+# endpoint-singular shapes, the two thin-tail configurations of
+# test_optimizer.py, and a tiny positive signal productivity.
+SLOPE_CASES = [
+    (ModelParams(), (2, 0.5, 3)),
+    (ModelParams(), (0.7, 0.7, 3)),
+    (ModelParams(a=0.74), (7.03, 0.34, 3.37)),
+    (
+        ModelParams(a=0.31987239932116085, q=1.0381969729919802, k=2.4131184581963065),
+        (1.4631795411914794, 7.487329320767199, 3.727537941971651),
+    ),
+    (ModelParams(A=0.5, beta_cost=0.2, a=0.6736, k=0.5, q=1.9786), (2.2615, 6.6962, 1.0)),
+    (
+        ModelParams(A=0.7597, beta_cost=0.2986, a=1.16e-281, k=1.607, q=0.2044),
+        (1.2926, 3.2237, 2.9996),
+    ),
+]
+
+
+def _seeded_slope_cases():
+    rng = np.random.default_rng(11)
+    cases = [(ModelParams(), (*shape, 3)) for shape in AGREEMENT_SHAPES]
+    for _ in range(8):
+        shape = (*rng.uniform(0.3, 8.0, 2), float(rng.uniform(0.5, 4.0)))
+        cases.append((random_admissible(rng), shape))
+    return cases + SLOPE_CASES
+
+
+@pytest.mark.parametrize("params, shape", _seeded_slope_cases())
+def test_line_slopes_match_central_differences(params, shape):
+    # Both closed-form slopes against central differences of their own
+    # values, from near the corner up to 0.99 zbar (inside the thin tail of
+    # the thin-tail shapes), with steps that shrink toward either end. Closer
+    # to the top of a beta_shape < 1 density, the pooled action's 1e-12
+    # Newton tolerance swamps the differences.
+    d = SenderDist(*shape)
+    z = d.zbar * np.linspace(0.01, 0.99, 50)
+    h = 1e-4 * np.minimum(z, d.zbar - z)
+    for line in (pi_w_edge, pi_p_many):
+        _, slope = line(params, d, z, d.tail_moments(z, params.q))
+        up, down = (
+            line(params, d, x, d.tail_moments(x, params.q))[0] for x in (z + h, z - h)
+        )
+        np.testing.assert_allclose(
+            slope, (up - down) / (2.0 * h), rtol=1e-5, atol=1e-7, err_msg=line.__name__
+        )
 
 
 def test_pool_part_zero_action_has_no_cost(uniform3):
