@@ -5,13 +5,15 @@ or on the pooling diagonal Pi_p(z). Each line has one array objective
 (``surplus.pi_w_edge``, ``surplus.pi_p_many``) giving its value and closed-form
 slope. Stage one scans both on a grid, 2n - 1 cells in all. Stage two solves
 for a root of each line's slope in the grid cells around its best cell, both
-lines in lockstep; a root replaces the current optimum whenever its value is
+lines in lockstep, from the root of the quintic Hermite fit of those cells'
+values and slopes; a root replaces the current optimum whenever its value is
 higher, the grid best's own line first. No stage calls adaptive quadrature,
 and reruns reproduce a result bitwise.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -91,6 +93,33 @@ def _iqi(z, s) -> float:
                for i in range(3))
 
 
+def _hermite(z, f, s) -> float:
+    """Root of the slope of the quintic Hermite interpolant through three
+    (z, f, s), in the cell the middle slope points into; NaN unless the z
+    are equally spaced and all values finite."""
+    (z0, z1, z2), (f0, f1, f2), (s0, s1, s2) = (map(float, w) for w in (z, f, s))
+    h = 0.5 * (z2 - z0)
+    if not abs(z1 - z0 - h) <= 1e-9 * h or not math.isfinite(f0 + f1 + f2 + s0 + s1 + s2):
+        return np.nan
+    # P(t) = f1 + g1 t + c2 t^2 + c3 t^3 + c4 t^4 + c5 t^5, t = (z - z1)/h.
+    g0, g1, g2 = h * s0, h * s1, h * s2
+    even, odd = 0.5 * (f2 + f0) - f1, 0.5 * (f2 - f0) - g1
+    c4, c5 = 0.25 * (g2 - g0) - even, 0.5 * (0.5 * (g2 + g0) - g1 - 3.0 * odd)
+    c2, c3 = even - c4, odd - c5
+    a, b = (0.0, 1.0) if g1 > 0.0 else (-1.0, 0.0)
+    t = 0.5 * (a + b)
+    for _ in range(60):  # Newton on P'(t), safeguarded by bisection
+        slope = g1 + t * (2.0 * c2 + t * (3.0 * c3 + t * (4.0 * c4 + t * 5.0 * c5)))
+        a, b = (t, b) if slope > 0.0 else (a, t)
+        curve = 2.0 * c2 + t * (6.0 * c3 + t * (12.0 * c4 + t * 20.0 * c5))
+        t_new = t - slope / curve if curve else a
+        t_new = t_new if a < t_new < b else 0.5 * (a + b)
+        if abs(t_new - t) <= 1e-15:
+            break
+        t = t_new
+    return z1 + h * t_new
+
+
 def _root_search(z: np.ndarray, f: np.ndarray, s: np.ndarray, tol: float):
     """Bracketed root of a line's slope: a generator that yields each round's
     points and is sent back their (values, slopes).
@@ -100,11 +129,13 @@ def _root_search(z: np.ndarray, f: np.ndarray, s: np.ndarray, tol: float):
     ``classify`` snaps, has a NaN slope that a first round fills. The bracket
     is the cell the best cell's slope points into. A round evaluates v and
     v -/+ tol/2; a sign change of the slope across them ends the search on
-    their best point. Otherwise the next v is the root of the quadratic z(s)
-    through the outer two and the far end (Brent 1973), as the first v is
-    through the grid; outside the bracket, regula falsi, or bisection if the
-    last round did not halve it. Returns (z, value, slope, root); with no
-    sign change across the bracket, its better end (root False).
+    their best point. The first v is the Hermite seed (``_hermite``), or at a
+    clipped or repeated grid end the root of the quadratic z(s) through the
+    three slopes; each later v that through the outer two and the far end
+    (Brent 1973). Outside the bracket, regula falsi, or bisection (in log z
+    past a factor 4) if the last round did not halve it. Returns (z, value,
+    slope, root); with no sign change across the bracket, its better end
+    (root False).
     """
     nan = np.isnan(s)
     if nan.any():
@@ -115,11 +146,14 @@ def _root_search(z: np.ndarray, f: np.ndarray, s: np.ndarray, tol: float):
     lo, hi = (z[k], f[k], s[k]), (z[k + 1], f[k + 1], s[k + 1])
     if not lo[2] > 0.0 > hi[2]:
         return (*max((lo, hi), key=lambda pt: pt[1]), False)
-    v, last = _iqi(z, s), np.inf
+    v, last = _hermite(z, f, s), np.inf
+    v = _iqi(z, s) if np.isnan(v) else v
     while hi[0] - lo[0] > tol:
         (a, _, sa), (b, _, sb) = lo, hi
         if not a < v < b:
-            v = a - sa * (b - a) / (sb - sa) if b - a <= 0.5 * last else 0.5 * (a + b)
+            # A slope singular at EFFECTIVE_ZERO stalls regula falsi: bisect in log z.
+            v = a - sa * (b - a) / (sb - sa) if b - a <= 0.5 * last else (
+                math.sqrt(a * b) if b > 4.0 * a else 0.5 * (a + b))
         last = b - a
         x = min(max(v - 0.5 * tol, a), b - tol) + tol * np.array([0.0, 0.5, 1.0])
         fx, sx = yield x

@@ -14,7 +14,7 @@ from delegate_opt.cli import main
 from delegate_opt.errors import ConfigError, ConvergenceError
 from delegate_opt.distributions import EFFECTIVE_ZERO
 from delegate_opt.harness import load_golden, run_config
-from delegate_opt.optimizer import OptimizerOptions, _Scan
+from delegate_opt.optimizer import OptimizerOptions, _Scan, _hermite, _iqi, _root_search
 from delegate_opt.surplus import sep_part
 from delegate_opt.thresholds import POOLING, STRICTLY_WELL_BEHAVED
 
@@ -256,7 +256,8 @@ def test_refined_edge_optimum_matches_reference(baseline, shape):
 def test_refinement_call_budget(monkeypatch):
     # Lockstep root search: a few array objective calls per line, counted
     # (not timed) over all 311 design rows. The first call on each line is
-    # the scan; each later one is a round of that line's root search.
+    # the scan; each later one is a round of that line's root search, and
+    # the Hermite seed leaves at most two.
     calls = Counter()
     for name in ("pi_w_edge", "pi_p_many"):
         def counted(*args, inner=getattr(sp, name), name=name):
@@ -264,12 +265,91 @@ def test_refinement_call_budget(monkeypatch):
             return inner(*args)
 
         monkeypatch.setattr(sp, name, counted)
+    evals = []
     for g in load_golden():
         calls.clear()
         d = SenderDist(g.alpha, g.beta_shape, g.zbar)
-        optimize(ModelParams(a=g.a, k=g.k, q=g.q), d)
-        assert 2 <= calls["pi_w_edge"] <= 7, g.key()
-        assert 2 <= calls["pi_p_many"] <= 7, g.key()
+        out = optimize(ModelParams(a=g.a, k=g.k, q=g.q), d)
+        evals.append(out.diagnostics["refine_evals"])
+        assert 2 <= calls["pi_w_edge"] <= 3, g.key()
+        assert 2 <= calls["pi_p_many"] <= 3, g.key()
+    assert len(evals) == 311
+    assert np.mean(evals) <= 6.0
+
+
+def _quintic(r: float):
+    # f(z) = -(z - r)^2 (1 + (z - r)^2 / 4 + (z - r)^3 / 8): a quintic whose
+    # slope -(z - r)(2 + (z - r)^2 + 5 (z - r)^3 / 8) has no root but r
+    # within 2 of r.
+    def f(z):
+        u = np.asarray(z, dtype=float) - r
+        return -u**2 * (1.0 + u**2 / 4.0 + u**3 / 8.0)
+
+    def s(z):
+        u = np.asarray(z, dtype=float) - r
+        return -u * (2.0 + u**2 + 5.0 * u**3 / 8.0)
+
+    return f, s
+
+
+@pytest.mark.parametrize("r", [0.93, 1.0, 1.04, 1.1, 1.17])
+def test_hermite_seed_is_the_root_of_a_quintics_slope(r):
+    # The interpolant reproduces a quintic, so its slope's root is r itself,
+    # on either side of the middle node.
+    f, s = _quintic(r)
+    z = np.array([0.9, 1.0, 1.1]) if r <= 1.1 else np.array([1.0, 1.1, 1.2])
+    assert abs(_hermite(z, f(z), s(z)) - r) <= 1e-12
+
+
+@pytest.mark.parametrize(
+    "z, shift",
+    [([1.0, 1.0, 1.1], 0.0), ([0.9, 1.0, 1.0], 0.0), ([EFFECTIVE_ZERO, 0.05, 0.1], 0.0),
+     ([0.9, 1.0, 1.2], 0.0), ([0.9, 1.0, 1.1], np.nan)],
+)
+def test_hermite_seed_falls_back_on_unequal_nodes(z, shift):
+    # Repeated grid ends, the clipped end, unequal spacing, and a NaN value.
+    f, s = _quintic(1.03)
+    z = np.array(z)
+    assert np.isnan(_hermite(z, f(z) + shift, s(z)))
+
+
+def test_root_search_seeds_from_the_slopes_on_unequal_nodes():
+    # Without the Hermite seed the first v is _iqi's, inside the bracket.
+    f, s = _quintic(1.03)
+    z = np.array([0.9, 1.0, 1.2])
+    v = _iqi(z, s(z))
+    assert 1.0 < v < 1.2
+    assert next(_root_search(z, f(z), s(z), 1e-6))[1] == pytest.approx(v, abs=1e-15)
+
+
+@pytest.mark.parametrize("first", [True, False])
+def test_root_search_from_a_grid_end(first):
+    # The best cell at index 0 or n - 1: the nodes repeat and clip, so the
+    # search fills the NaN slopes, seeds without the Hermite fit, and still
+    # brackets r in one round.
+    f, s = _quintic(0.01 if first else 0.99)
+    k = [0, 0, 1] if first else [59, 60, 60]
+    z = np.clip(np.linspace(0.0, 1.0, 61)[k], EFFECTIVE_ZERO, 1.0 - EFFECTIVE_ZERO)
+    search = _root_search(z, f(z), np.where(np.isin(k, (0, 60)), np.nan, s(z)), 1e-6)
+    x, rounds = next(search), 0
+    assert x.size == 1
+    try:
+        while True:
+            x, rounds = search.send((f(x), s(x))), rounds + 1
+    except StopIteration as stop:
+        z_root, _, slope, root = stop.value
+    assert root and rounds == 1
+    assert abs(slope) <= 1e-5 and s(z_root - 1e-6) > 0.0 > s(z_root + 1e-6)
+
+
+def test_root_search_bisects_in_log_z_near_effective_zero():
+    # The edge slope is about 9e3 at EFFECTIVE_ZERO and the root is at
+    # 0.00275; arithmetic bisection crawled toward it in 68 points.
+    p = ModelParams(A=1.4611, beta_cost=0.6151, a=0.013619, k=1.8361, q=0.13371)
+    d = SenderDist(1.1197, 5.5753, 3.3425)
+    out = optimize(p, d)
+    assert out.thresholds.z_h == pytest.approx(0.0027531, abs=1e-6)
+    assert out.diagnostics["refine_evals"] <= 44
 
 
 def _edge_slope(p: ModelParams, d: SenderDist, z) -> np.ndarray:
