@@ -93,6 +93,8 @@ def _dump_json(payload: dict, out: str | None) -> None:
 
 def _cmd_solve(args) -> int:
     p, d, _ = load_config(args.config)
+    if not math.isfinite(args.t_low) or math.isnan(args.t_high):
+        raise ConfigError(f"need a finite --t-low and a --t-high, got {args.t_low}, {args.t_high}")
     if args.t_high < args.t_low:
         raise ConfigError("--t-high below --t-low")
     z_l = invert_floor(p, d, args.t_low)
@@ -165,6 +167,8 @@ def _cmd_paths(args) -> int:
 
 def _cmd_diagnose(args) -> int:
     p, d, _ = load_config(args.config)
+    if args.grid < 1:
+        raise ConfigError(f"--grid must be at least 1, got {args.grid}")
     path = SeparatingPath(p, args.z_low, d.zbar)
     zs = np.linspace(args.z_low, d.zbar, args.grid)
     lines = ["z,sigma,tau,sender_rent,receiver_rent"]

@@ -56,9 +56,10 @@ class SenderDist:
     zbar: float
 
     def __post_init__(self) -> None:
-        if not (self.alpha > 0 and self.beta_shape > 0 and self.zbar > 0):
+        shape = (self.alpha, self.beta_shape, self.zbar)
+        if not (all(map(math.isfinite, shape)) and min(shape) > 0):
             raise ConfigError(
-                f"need alpha, beta_shape, zbar > 0, got "
+                f"need finite alpha, beta_shape, zbar > 0, got "
                 f"({self.alpha}, {self.beta_shape}, {self.zbar})"
             )
 
@@ -109,7 +110,9 @@ class SenderDist:
         if a + p > 0.0:
             ratio = math.exp(betaln(a + p, b) - betaln(a, b))
             return self.zbar**p * ratio * betainc(b, a + p, y)
-        tail = y**b / b * hyp2f1(b, 1.0 - a - p, b + 1.0, y)
+        # np.power: a NumPy scalar's ** rounds by the C library's pow, which
+        # can differ in the last bit from the array loop that tail_moments runs.
+        tail = np.power(y, b) / b * hyp2f1(b, 1.0 - a - p, b + 1.0, y)
         return self.zbar**p * tail / math.exp(betaln(a, b))
 
     def partial_moment(self, c: float, p: float) -> float:
@@ -155,7 +158,7 @@ class SenderDist:
         """
         zbar = self.zbar
         c = np.asarray(c, dtype=float)
-        y = np.clip((zbar - c) / zbar, 0.0, 1.0)
+        y = np.minimum(np.maximum((zbar - c) / zbar, 0.0), 1.0)
         gap, mass = self._gap(y)
         ez = np.where(c >= zbar - _SUPPORT_TOL, zbar, zbar - gap)
         pm_q = self._upper(q, y)

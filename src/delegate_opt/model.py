@@ -8,6 +8,7 @@ differentiate numerically.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -27,6 +28,8 @@ class ModelParams:
     q: float = 1.0
 
     def __post_init__(self) -> None:
+        if not all(map(math.isfinite, (self.A, self.beta_cost, self.k, self.q))):
+            raise ConfigError(f"A, beta, k, q must be finite, got {self}")
         if self.A <= 0 or self.beta_cost <= 0 or self.k <= 0:
             raise ConfigError("A, beta, k must be positive")
         if not 0.0 <= self.a < 1.0:

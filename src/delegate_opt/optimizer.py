@@ -1,14 +1,15 @@
 """Maximize aggregate net surplus over the threshold triangle.
 
 The optimum of {0 <= z_l <= z_h <= zbar} lies on the z_l = 0 edge Pi_w(0, z_h)
-or on the pooling diagonal Pi_p(z). Each line has one array objective
-(``surplus.pi_w_edge``, ``surplus.pi_p_many``) giving its value and closed-form
-slope. Stage one scans both on a grid, 2n - 1 cells in all. Stage two solves
-for a root of each line's slope in the grid cells around its best cell, both
-lines in lockstep, from the root of the quintic Hermite fit of those cells'
+or on the pooling diagonal Pi_p(z). One array pass (``surplus.line_pass``)
+gives both lines' values and closed-form slopes. Stage one scans both on a
+grid, 2n - 1 cells in all, in one pass. Stage two solves for a root of each
+line's slope in the grid cells around its best cell, both lines in lockstep,
+one pass per round, from the root of the quintic Hermite fit of those cells'
 values and slopes; a root replaces the current optimum whenever its value is
-higher, the grid best's own line first. No stage calls adaptive quadrature,
-and reruns reproduce a result bitwise.
+higher, the grid best's own line first. The returned record is priced from
+the pass that evaluated its point. No stage calls adaptive quadrature, and
+reruns reproduce a result bitwise.
 """
 
 from __future__ import annotations
@@ -27,6 +28,7 @@ from .model import ModelParams
 _TIE_TOL = 1e-9
 _FLAT_TOL = 1e-10
 _CERT_TOL = 1e-8
+_METHOD = {"diag": "golden-diagonal", "edge": "golden-edge"}
 
 
 @dataclass(frozen=True)
@@ -38,6 +40,8 @@ class OptimizerOptions:
     def __post_init__(self) -> None:
         if self.grid < 3:
             raise ConfigError("grid resolution must be at least 3")
+        if not (math.isfinite(self.tol) and self.tol > 0):
+            raise ConfigError(f"tolerance must be finite and positive, got {self.tol}")
         if self.refine not in ("auto", "none"):
             raise ConfigError(f"unknown refine method {self.refine!r}")
 
@@ -52,36 +56,20 @@ class DelegationOutcome:
     diagnostics: dict = field(compare=False)
 
 
-class _Scan:
-    """Objective values and slopes on the z_l = 0 edge and the pooling diagonal.
-
-    ``edge[j]`` is Pi_w(0, grid[j]) and ``diag[i]`` is Pi_p(grid[i]); the
-    corner (0, 0) lies on both.
-    """
-
-    def __init__(self, p: ModelParams, d: SenderDist, n: int):
-        self.n = n
-        self.grid = np.linspace(0.0, d.zbar, n)
-        self.n_evals = 2 * n - 1
-        moments = d.tail_moments(self.grid, p.q)
-        self.diag, self.diag_slope = sp.pi_p_many(p, d, self.grid, moments)
-        edge = sp.pi_w_edge(p, d, self.grid[1:], tuple(m[1:] for m in moments))
-        self.edge = np.concatenate((self.diag[:1], edge[0]))
-        self.edge_slope = np.concatenate((self.diag_slope[:1], edge[1]))
-
-    def best(self) -> tuple[int, int, float, bool, bool]:
-        """Best scanned cell: value first, then larger z_h, then smaller z_l."""
-        n = self.n
-        ii = np.concatenate((np.zeros(n, dtype=int), np.arange(1, n)))
-        jj = np.concatenate((np.arange(n), np.arange(1, n)))
-        values = np.concatenate((self.edge, self.diag[1:]))
-        vmax = values.max()
-        tied = np.flatnonzero(values >= vmax - _TIE_TOL)
-        k = min(tied, key=lambda t: (-jj[t], ii[t]))
-        i, j = int(ii[k]), int(jj[k])
-        near = np.flatnonzero(values >= vmax - _FLAT_TOL)
-        flat = bool(np.any((np.abs(ii[near] - i) > 1) | (np.abs(jj[near] - j) > 1)))
-        return i, j, float(values[k]), len(tied) > 1, flat
+def _best(scan: sp.LinePass) -> tuple[int, int, float, bool, bool]:
+    """Best cell (i, j) of the grid scan, (0, j) on the edge and (i, i) on the
+    diagonal: value first, then larger z_h, then smaller z_l."""
+    n = scan.z.size
+    ii = np.concatenate((np.zeros(n, dtype=int), np.arange(1, n)))
+    jj = np.concatenate((np.arange(n), np.arange(1, n)))
+    values = np.concatenate((scan.edge[0], scan.diag[0][1:]))
+    vmax = values.max()
+    tied = np.flatnonzero(values >= vmax - _TIE_TOL)
+    k = min(tied, key=lambda t: (-jj[t], ii[t]))
+    i, j = int(ii[k]), int(jj[k])
+    near = np.flatnonzero(values >= vmax - _FLAT_TOL)
+    flat = bool(np.any((np.abs(ii[near] - i) > 1) | (np.abs(jj[near] - j) > 1)))
+    return i, j, float(values[k]), len(tied) > 1, flat
 
 
 def _iqi(z, s) -> float:
@@ -165,25 +153,29 @@ def _root_search(z: np.ndarray, f: np.ndarray, s: np.ndarray, tol: float):
     return (*max((lo, hi), key=lambda pt: pt[1]), True)
 
 
-def _refine(p: ModelParams, d: SenderDist, searches: list) -> tuple[list, int]:
-    """Run (objective, search) pairs in lockstep; returns results, points used."""
-    results, replies, n_evals = [None] * len(searches), [None] * len(searches), 0
+def _refine(p: ModelParams, d: SenderDist, searches: dict, where: dict) -> tuple[dict, int]:
+    """Run one search per line in lockstep, each round in one ``line_pass``
+    that evaluates each line at its own points; ``where`` gets the pass and
+    index of each (line, point). Returns the results and the points used."""
+    results, replies, n_evals = {}, dict.fromkeys(searches), 0
     for _ in range(100):
-        points = {}
-        for i, (_, search) in enumerate(searches):
-            if results[i] is None:
+        spans, points = dict.fromkeys(_METHOD, slice(0)), []
+        for line, search in searches.items():
+            if line not in results:
                 try:
-                    points[i] = search.send(replies[i])
+                    points.append(search.send(replies[line]))
                 except StopIteration as stop:
-                    results[i] = stop.value
+                    results[line] = stop.value
+                    continue
+                at = sum(x.size for x in points)
+                spans[line] = slice(at - points[-1].size, at)
         if not points:
             return results, n_evals
-        moments = d.tail_moments(np.concatenate(list(points.values())), p.q)
-        at = 0
-        for i, x in points.items():
-            replies[i] = searches[i][0](p, d, x, tuple(m[at:at + x.size] for m in moments))
-            at += x.size
-        n_evals += at
+        lp = sp.line_pass(p, d, np.concatenate(points), **spans)
+        for line, span in spans.items():
+            replies[line] = tuple(f[span] for f in getattr(lp, line))
+            where.update(((line, lp.z[i]), (lp, i)) for i in range(lp.z.size)[span])
+        n_evals += lp.z.size
     raise ConvergenceError("refinement did not bracket a root of the slope")
 
 
@@ -192,42 +184,48 @@ def optimize(
 ) -> DelegationOutcome:
     """Solve the planner's problem: argmax of the net surplus over thresholds."""
     opts = opts or OptimizerOptions()
-    sweep = _Scan(p, d, opts.grid)
-    gi, gj, g_val, tie_break, flat = sweep.best()
-    grid = sweep.grid
-    z_l, z_h, val = grid[gi], grid[gj], g_val
-    slope = sweep.diag_slope[gi] if gi == gj else sweep.edge_slope[gj]
+    grid = np.linspace(0.0, d.zbar, opts.grid)
+    scan = sp.line_pass(p, d, grid, edge=slice(1, None))
+    for edge, diag in zip(scan.edge, scan.diag):
+        edge[0] = diag[0]  # the corner (0, 0) lies on both lines
+    gi, gj, g_val, tie_break, flat = _best(scan)
+    line = "diag" if gi == gj else "edge"
+    z_h, val, at = grid[gj], g_val, (scan, gj)
+    slope = getattr(scan, line)[1][gj]
     method, refine_evals = "none", 0
     if opts.refine != "none":
-        lines = [("golden-diagonal", sp.pi_p_many, sweep.diag, sweep.diag_slope, 0),
-                 ("golden-edge", sp.pi_w_edge, sweep.edge, sweep.edge_slope, 1)]
-        if gi != gj:
-            lines.reverse()
-        searches = []
-        for _, objective, values, slopes, first in lines:
-            # The line's best cell: the larger z on ties.
+        searches, where = {}, {}
+        for name in sorted(_METHOD, key=lambda name: name != line):
+            values, slopes = getattr(scan, name)
+            # The line's best cell, past the corner on the edge: the larger z on ties.
+            first = int(name == "edge")
             tail = values[first:]
             c = first + np.flatnonzero(tail >= tail.max() - _TIE_TOL)[-1]
             k = np.array([max(c - 1, 0), c, min(c + 1, opts.grid - 1)])
-            z = np.clip(grid[k], EFFECTIVE_ZERO, d.zbar - EFFECTIVE_ZERO)
+            z = np.minimum(np.maximum(grid[k], EFFECTIVE_ZERO), d.zbar - EFFECTIVE_ZERO)
             s_k = np.where(z == grid[k], slopes[k], np.nan)
-            searches.append((objective, _root_search(z, values[k], s_k, opts.tol)))
-        method = lines[0][0]
-        results, refine_evals = _refine(p, d, searches)
+            searches[name] = _root_search(z, values[k], s_k, opts.tol)
+            where.update(((name, grid[i]), (scan, i)) for i in k)
+        method = _METHOD[line]
+        results, refine_evals = _refine(p, d, searches, where)
         # The tie tolerance guards only points that are not roots, such as
         # the exact pooling corner against the line's end EFFECTIVE_ZERO away.
-        for (name, *_), (z, v, s, root) in zip(lines, results):
+        for name in searches:
+            z, v, s, root = results[name]
             if v > val + (0.0 if root else _TIE_TOL):
-                z_l = z if name == "golden-diagonal" else 0.0
-                z_h, val, slope, method = z, v, s, name
-    record = th.resolve(p, d, z_l, z_h)
-    breakdown = sp.surplus_of(p, d, record)
+                line, z_h, val, slope, method = name, z, v, s, _METHOD[name]
+                at = where[name, z]
+    record = th.resolve(p, d, z_h if line == "diag" else 0.0, z_h)
+    # surplus_of's pieces at record.z_h, read off the pass that holds them.
+    lp, i = (scan, opts.grid - 1) if record.eq_class == th.SEPARATING else at
+    sep = 0.0 if record.eq_class == th.POOLING else lp.sep[i]
+    breakdown = sp.surplus_from(p, d, record, sep, [m[i] for m in lp.moments])
     diagnostics = {
         "grid": opts.grid,
         "grid_best": {"z_l": float(grid[gi]), "z_h": float(grid[gj]), "value": g_val},
         "refine_method": method,
         "refine_evals": refine_evals,
-        "n_grid_evals": sweep.n_evals,
+        "n_grid_evals": 2 * opts.grid - 1,
         "tie_break_applied": tie_break,
         "flat_objective": flat,
         "certificate": float(breakdown.total - g_val),
@@ -245,6 +243,6 @@ def optimize(
         interval=(record.t_l, record.t_h),
         surplus=breakdown,
         percentile_zh=d.cdf(record.z_h),
-        pi_s=float(sweep.edge[-1]),
+        pi_s=float(scan.edge[0][-1]),
         diagnostics=diagnostics,
     )

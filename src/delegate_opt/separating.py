@@ -151,7 +151,7 @@ class SeparatingPath:
         z = np.asarray(z, dtype=float)
         if ((z < self.z_l - _DOMAIN_SLACK) | (z > self.zbar * (1.0 + _DOMAIN_SLACK))).any():
             raise DomainError(f"sigma defined on [z_l={self.z_l}, zbar={self.zbar}] only")
-        z = np.clip(z, self.z_l, self.zbar)
+        z = np.minimum(np.maximum(z, self.z_l), self.zbar)
         p = self.params
         target = np.power(z, 2.0 + p.q)
         if self.z_l == 0.0:

@@ -29,7 +29,8 @@ The pooling part takes its tail integrals from the closed forms in
 ``distributions``. Transfers cancel, so nothing here reads wages.
 
 ``thresholds.resolve`` alone decides which equilibrium a pair (z_l, z_h)
-induces, and ``surplus_of`` prices its record. So ``pi_w`` snaps as
+induces, and ``surplus_of`` prices its record (``surplus_from`` alone,
+when a ``line_pass`` already holds the pieces). So ``pi_w`` snaps as
 ``classify`` does: a pair within EFFECTIVE_ZERO of the diagonal is priced as
 pooling, and a z_h within EFFECTIVE_ZERO of zbar as separating. The breakdown
 carries the record's z_l and z_h.
@@ -38,6 +39,7 @@ carries the record's z_l and z_h.
 from __future__ import annotations
 
 import math
+from collections import namedtuple
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -88,7 +90,7 @@ def sep_part(
     a, b = d.alpha + power, d.beta_shape
     scale = k_net * d.zbar**power * math.exp(betaln(a, b) - betaln(d.alpha, b))
     # SciPy returns NaN outside [0, 1], so the limits are clamped first.
-    x_lo, x_hi = (np.clip(z / d.zbar, 0.0, 1.0) for z in (z_lo, z_hi))
+    x_lo, x_hi = (np.minimum(np.maximum(z / d.zbar, 0.0), 1.0) for z in (z_lo, z_hi))
     return scale * (betainc(a, b, x_hi) - betainc(a, b, x_lo))
 
 
@@ -122,7 +124,17 @@ def surplus_of(
     if rec.eq_class != thresholds.POOLING:
         path = SeparatingPath(p, rec.z_l, d.zbar)
         sep = sep_part(p, d, path, rec.z_l, rec.z_h)
-    pool = pool_part(p, d, rec.z_h, rec.s_h)
+    return surplus_from(p, d, rec, sep, d.tail_moments(rec.z_h, p.q))
+
+
+def surplus_from(
+    p: ModelParams, d: SenderDist, rec: thresholds.Thresholds, sep, moments
+) -> SurplusBreakdown:
+    """The breakdown of rec from its separating part (0 when Pooling) and
+    ``tail_moments`` at rec.z_h; the pooled part is ``pool_part``'s."""
+    pool = 0.0
+    if rec.z_h < d.zbar - _TOP_GUARD:
+        pool = float(_pooled_net(p, rec.s_h, *moments[:3]))
     return SurplusBreakdown(sep, pool, sep + pool, rec.z_l, rec.z_h)
 
 
@@ -139,63 +151,67 @@ def pi_p(p: ModelParams, d: SenderDist, z_star: float) -> float:
     return pool_part(p, d, z_star, s_star)
 
 
-def pi_w_edge(
-    p: ModelParams, d: SenderDist, z_h: np.ndarray, moments: tuple
-) -> tuple[np.ndarray, np.ndarray]:
-    """Pi_w(0, z_h) and its slope at many z_h > 0 in one batch.
-
-    The value is ``pi_w(p, d, 0, z_h).total``; ``moments`` is
-    ``d.tail_moments(z_h, p.q)``. In the slope K z^P g + dPool/dz, K z^P g
-    cancels the pooled density the tail loses by the top equation
-    F = X - beta s^2/z - rhs(z) = 0, X = A k s^a z^q E. The rest moves s_h by
-    -F_z/F_s, with s F_s = (a-2) X + 2 rhs and z F_z = X (q+1 + z E'/E) -
-    (P+1) rhs, and E by E'. It is 0 in the top guard, where the value is Pi_s.
-    """
-    z_h = np.asarray(z_h, dtype=float)
-    path = SeparatingPath(p, 0.0, d.zbar)
-    top = z_h >= d.zbar - _TOP_GUARD
-    value, slope = sep_part(p, d, path, 0.0, np.where(top, d.zbar, z_h)), np.zeros_like(z_h)
-    z, sig = z_h[~top], path.sigma_many(z_h[~top])
-    e, m_q, m_inv, mass = (m[~top] for m in moments)
-    s = thresholds.pooled_action_many(p, sig, z, e)
-    value[~top] += _pooled_net(p, s, e, m_q, m_inv)
-    dez = d.pdf(z) * (e - z) / np.maximum(mass, _TINY)  # E' = g (E - z)/P(z >= z_h)
-    power = (2.0 + 2.0 * p.q + p.a) / (2.0 - p.a)
-    lead, rhs = p.A * p.k * s**p.a, thresholds._top_rhs(p, sig, z)
-    x = lead * z**p.q * e
-    z_f_z = x * (p.q + 1.0 + z * dez / e) - (power + 1.0) * rhs
-    # s dPool/ds, with beta s^2 = (X - rhs) z.
-    s_d_pool = p.a * lead * e * m_q - 2.0 * (x - rhs) * z * m_inv
-    slope[~top] = lead * dez * m_q - z_f_z * s_d_pool / (z * ((p.a - 2.0) * x + 2.0 * rhs))
-    return value, slope
+# line_pass at points z: edge is (Pi_w(0, z), slope) and diag (Pi_p(z), slope),
+# NaN off the line's points; sep is the edge's separating part and moments
+# is d.tail_moments(z, p.q).
+LinePass = namedtuple("LinePass", "z moments sep edge diag")
 
 
-def pi_p_many(
-    p: ModelParams, d: SenderDist, z_star: np.ndarray, moments: tuple
-) -> tuple[np.ndarray, np.ndarray]:
-    """Pi_p(z*) and its slope at many z* in [0, zbar] in one batch.
+def line_pass(p: ModelParams, d: SenderDist, z: np.ndarray, edge: slice = slice(None),
+              diag: slice = slice(None)) -> LinePass:
+    """The z_l = 0 edge at z[edge] (z > 0) and the pooling diagonal at z[diag]
+    (z in [0, zbar]), values and slopes, in one batch.
 
-    The value is ``pi_p(p, d, z*)``; ``moments`` is
-    ``d.tail_moments(z_star, p.q)``. The pooled action is ``pooling_star``'s
-    closed form s*, zero below EFFECTIVE_ZERO. As beta s*^2 = A k s*^a z*^(q+1) E,
-    Pi_p = A k s*^a E W with W = M_q - z*^(q+1) M_inv, whose slope is
-    Pi_p (a (q+1)/z* + 2 E'/E)/(2-a) + A k s*^a E W', W' = -(q+1) z*^q M_inv;
+    Both lines share one ``tail_moments`` call, one ``pdf`` call and the tail
+    mean's slope E' = g (E - z)/P(z >= z); an empty slice skips its line.
+
+    Edge: the value is ``pi_w(p, d, 0, z).total``. In the slope
+    K z^P g + dPool/dz, K z^P g cancels the pooled density the tail loses by
+    the top equation F = X - beta s^2/z - rhs(z) = 0, X = A k s^a z^q E. The
+    rest moves s_h by -F_z/F_s, with s F_s = (a-2) X + 2 rhs and
+    z F_z = X (q+1 + z E'/E) - (P+1) rhs, and E by E'. It is 0 in the top
+    guard, where the value is Pi_s.
+
+    Diagonal: the value is ``pi_p(p, d, z)``, with ``pooling_star``'s closed
+    form s*, zero below EFFECTIVE_ZERO. As beta s*^2 = A k s*^a z^(q+1) E,
+    Pi_p = A k s*^a E W with W = M_q - z^(q+1) M_inv, whose slope is
+    Pi_p (a (q+1)/z + 2 E'/E)/(2-a) + A k s*^a E W', W' = -(q+1) z^q M_inv;
     0 where the value is constant: below EFFECTIVE_ZERO and in the top guard.
     """
-    z_star = np.asarray(z_star, dtype=float)
-    ez, pm_q, pm_inv, mass = moments
-    s_star = (
-        z_star ** (p.q + 1.0) * p.A * p.k * ez / p.beta_cost
-    ) ** (1.0 / (2.0 - p.a))
-    s_star = np.where(z_star < EFFECTIVE_ZERO, 0.0, s_star)
-    top = z_star >= d.zbar - _TOP_GUARD
-    value = np.where(top, 0.0, _pooled_net(p, s_star, ez, pm_q, pm_inv))
+    z = np.asarray(z, dtype=float)
+    moments = d.tail_moments(z, p.q)
+    ez, m_q, m_inv, mass = moments
+    top, z_q = z >= d.zbar - _TOP_GUARD, z**p.q
+    sep, e_val, e_slope, d_val, d_slope = np.full((5, z.size), np.nan)
     with np.errstate(divide="ignore", invalid="ignore"):
-        dez = d.pdf(z_star) * (ez - z_star) / np.maximum(mass, _TINY)
-        rate = p.a * (p.q + 1.0) / z_star + 2.0 * dez / ez
-        d_w = -(p.q + 1.0) * z_star**p.q * pm_inv
-        slope = value * rate / (2.0 - p.a) + p.A * p.k * s_star**p.a * ez * d_w
-    return value, np.where(top | (z_star < EFFECTIVE_ZERO), 0.0, slope)
+        dez = d.pdf(z) * (ez - z) / np.maximum(mass, _TINY)
+        zs, e, w_q, w_inv = z[diag], ez[diag], m_q[diag], m_inv[diag]
+        if zs.size:
+            s_star = (zs ** (p.q + 1.0) * p.A * p.k * e / p.beta_cost) ** (1.0 / (2.0 - p.a))
+            s_star = np.where(zs < EFFECTIVE_ZERO, 0.0, s_star)
+            d_val[diag] = np.where(top[diag], 0.0, _pooled_net(p, s_star, e, w_q, w_inv))
+            rate = p.a * (p.q + 1.0) / zs + 2.0 * dez[diag] / e
+            d_w = -(p.q + 1.0) * z_q[diag] * w_inv
+            slope = d_val[diag] * rate / (2.0 - p.a) + p.A * p.k * s_star**p.a * e * d_w
+            d_slope[diag] = np.where(top[diag] | (zs < EFFECTIVE_ZERO), 0.0, slope)
+    if z[edge].size:
+        path = SeparatingPath(p, 0.0, d.zbar)
+        sep[edge] = sep_part(p, d, path, 0.0, np.where(top[edge], d.zbar, z[edge]))
+        value, slope = e_val[edge], e_slope[edge]  # views
+        value[:], slope[:] = sep[edge], 0.0
+        inner = ~top[edge]
+        zs, e, w_q, w_inv, de = (a[edge][inner] for a in (z, ez, m_q, m_inv, dez))
+        sig = path.sigma_many(zs)
+        s = thresholds.pooled_action_many(p, sig, zs, e)
+        value[inner] += _pooled_net(p, s, e, w_q, w_inv)
+        power = (2.0 + 2.0 * p.q + p.a) / (2.0 - p.a)
+        lead, rhs = p.A * p.k * s**p.a, thresholds._top_rhs(p, sig, zs)
+        x = lead * z_q[edge][inner] * e
+        z_f_z = x * (p.q + 1.0 + zs * de / e) - (power + 1.0) * rhs
+        # s dPool/ds, with beta s^2 = (X - rhs) z.
+        s_d_pool = p.a * lead * e * w_q - 2.0 * (x - rhs) * zs * w_inv
+        slope[inner] = lead * de * w_q - z_f_z * s_d_pool / (zs * ((p.a - 2.0) * x + 2.0 * rhs))
+    return LinePass(z, moments, sep, (e_val, e_slope), (d_val, d_slope))
 
 
 def pi_s(p: ModelParams, d: SenderDist, z_l: float = 0.0) -> float:

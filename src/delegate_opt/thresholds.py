@@ -81,8 +81,8 @@ def invert_floor(p: ModelParams, d: SenderDist, t_l: float) -> float:
     z_l^((2q+2+a)/(2-a)), inverted directly; a z_l below EFFECTIVE_ZERO is
     the z_l = 0 normalization, as in ``resolve``.
     """
-    if t_l < 0:
-        raise DomainError(f"floor t_l={t_l} negative")
+    if not t_l >= 0:
+        raise DomainError(f"floor t_l={t_l} negative or NaN")
     scale = p.beta_cost * (p.A * p.k / p.beta_cost) ** (2.0 / (2.0 - p.a))
     power = (2.0 * p.q + 2.0 + p.a) / (2.0 - p.a)
     z_l = (t_l / scale) ** (1.0 / power)
@@ -252,8 +252,8 @@ def invert_cap(
     (Pooling with z_h = z_l); in between the monotone map z_h -> t_h is
     inverted by bracketed root finding.
     """
-    if t_h < path.t_l - 1e-12 * max(1.0, path.t_l):
-        raise DomainError(f"cap t_h={t_h} below the floor t_l={path.t_l}")
+    if not t_h >= path.t_l - 1e-12 * max(1.0, path.t_l):
+        raise DomainError(f"cap t_h={t_h} below the floor t_l={path.t_l} or NaN")
     z_l = path.z_l
     top = path.top_wage()
     if t_h >= top * (1.0 - 1e-12):

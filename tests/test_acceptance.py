@@ -7,7 +7,9 @@ the lines as they complete.
 
 from __future__ import annotations
 
+import csv
 import time
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -24,7 +26,7 @@ from delegate_opt import (
     solve_top,
     well_behaved_gain,
 )
-from delegate_opt.harness import load_golden, rows_to_csv, run_design
+from delegate_opt.harness import CSV_COLUMNS, load_golden, rows_to_csv, run_design
 from delegate_opt.thresholds import POOLING, STRICTLY_WELL_BEHAVED
 
 from conftest import BASELINE_SHAPES, brute_force_triangle, random_admissible
@@ -352,3 +354,34 @@ def test_criterion_10_determinism(tables):
     if a.thresholds != b.thresholds or a.surplus != b.surplus:
         failures.append("repeated optimize() runs differ")
     _report(10, "determinism: byte-identical CSV, identical reruns", failures)
+
+
+# rows_to_csv of all five designs, as ``verify --out`` writes computed_rows.csv.
+# A change that moves a cell regenerates this file; its diff lists the cells.
+SNAPSHOT = Path(__file__).resolve().parent / "snapshots" / "design_rows.csv"
+_KEY_COLUMNS = 7  # design, alpha, beta_shape, q, k, a, zbar
+
+
+def _cells(text: str) -> dict[tuple, dict[str, str]]:
+    header, *rows = csv.reader(text.splitlines())
+    return {tuple(r[:_KEY_COLUMNS]): dict(zip(header, r)) for r in rows}
+
+
+def test_tables_match_the_snapshot_byte_for_byte(tables):
+    rows, _ = tables
+    text = rows_to_csv([r for design in (1, 2, 3, 4, 5) for r in rows[design]])
+    want = SNAPSHOT.read_text(encoding="utf-8")
+    if text == want:
+        return
+    old, new = _cells(want), _cells(text)
+    moved = [f"row missing from the tables: {key}" for key in old.keys() - new.keys()]
+    moved += [f"row not in the snapshot: {key}" for key in new.keys() - old.keys()]
+    for key in old.keys() & new.keys():
+        moved += [
+            f"{key} {c} {old[key][c]} -> {new[key][c]}"
+            for c in CSV_COLUMNS if old[key][c] != new[key][c]
+        ]
+    pytest.fail(
+        f"{len(moved)} cells moved against {SNAPSHOT.name} "
+        "(or the rows, their order or the header changed):\n" + "\n".join(sorted(moved))
+    )

@@ -29,6 +29,18 @@ class TestConfig:
         cfg.write_text('{"a": 1.5}')
         assert run_cli("optimize", "--config", str(cfg)) == 1
 
+    @pytest.mark.parametrize(
+        "text",
+        ['{"A": Infinity}', '{"k": NaN}', '{"q": -Infinity}', '{"beta": NaN}',
+         '{"dist": {"zbar": Infinity}}', '{"dist": {"alpha": NaN}}',
+         '{"optimizer": {"tol": NaN}}', '{"optimizer": {"tol": 0}}'],
+    )
+    def test_non_finite_value_is_config_error(self, tmp_path, text):
+        # json.loads accepts NaN and Infinity, so the constructors check.
+        cfg = tmp_path / "bad.json"
+        cfg.write_text(text)
+        assert run_cli("optimize", "--config", str(cfg)) == 1
+
 
 class TestSolve:
     def test_interval_to_record(self, tmp_path):
@@ -72,6 +84,20 @@ class TestSolve:
 
     def test_inverted_interval_rejected(self):
         assert run_cli("solve", "--t-low", "2", "--t-high", "1") == 1
+
+    @pytest.mark.parametrize(
+        "t_low, t_high",
+        [("0", "nan"), ("nan", "1"), ("inf", "inf"), ("-inf", "1"), ("nan", "nan")],
+    )
+    def test_non_finite_reaction_is_config_error(self, t_low, t_high, capsys):
+        # A NaN --t-high used to die inside brentq with a traceback, and a
+        # NaN --t-low to exit 2; an infinite --t-high is a cap that never binds.
+        assert run_cli("solve", f"--t-low={t_low}", f"--t-high={t_high}") == 1
+        assert "config error" in capsys.readouterr().err
+
+    def test_unbounded_cap_is_full_delegation(self, capsys):
+        assert run_cli("solve", "--t-low", "0", "--t-high", "inf") == 0
+        assert json.loads(capsys.readouterr().out)["eq_class"] == "Separating"
 
 
 class TestOptimize:
@@ -152,6 +178,12 @@ class TestDiagnose:
         assert len(lines) == 6
         last = [float(v) for v in lines[-1].split(",")]
         assert last[0] == 3.0 and last[1] == pytest.approx(9.0)
+
+    @pytest.mark.parametrize("grid", ["0", "-1"])
+    def test_empty_grid_is_config_error(self, grid, capsys):
+        # --grid -1 used to die in numpy's linspace with a ValueError.
+        assert run_cli("diagnose", "--grid", grid) == 1
+        assert "config error" in capsys.readouterr().err
 
 
 def test_console_entry_point():

@@ -308,3 +308,13 @@ def test_invalid_shapes_rejected():
         SenderDist(0.0, 1.0, 3.0)
     with pytest.raises(ConfigError):
         SenderDist(1.0, 1.0, -3.0)
+
+
+@pytest.mark.parametrize("field", [0, 1, 2])
+@pytest.mark.parametrize("value", [float("inf"), float("nan")])
+def test_non_finite_shapes_rejected(field, value):
+    # An infinite zbar or alpha used to reach a generic ValueError in optimize.
+    shape = [2.0, 3.0, 3.0]
+    shape[field] = value
+    with pytest.raises(ConfigError):
+        SenderDist(*shape)

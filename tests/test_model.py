@@ -72,3 +72,12 @@ def test_monotonicity(rng):
         assert model.surplus_v(p, x, s, z + eps) >= model.surplus_v(p, x, s, z)
         assert model.cost_c(p, s + eps, z) > model.cost_c(p, s, z)
         assert model.cost_c(p, s, z + eps) < model.cost_c(p, s, z)
+
+
+@pytest.mark.parametrize("field", ["A", "beta_cost", "k", "q"])
+@pytest.mark.parametrize("value", [float("inf"), float("-inf"), float("nan")])
+def test_non_finite_params_rejected(field, value):
+    # Before the check, inf A or k reached a ZeroDivisionError and NaN a
+    # ConvergenceError deep inside optimize.
+    with pytest.raises(ConfigError, match="finite"):
+        ModelParams(**{field: value})

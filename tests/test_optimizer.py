@@ -14,7 +14,7 @@ from delegate_opt.cli import main
 from delegate_opt.errors import ConfigError, ConvergenceError
 from delegate_opt.distributions import EFFECTIVE_ZERO
 from delegate_opt.harness import load_golden, run_config
-from delegate_opt.optimizer import OptimizerOptions, _Scan, _hermite, _iqi, _root_search
+from delegate_opt.optimizer import OptimizerOptions, _hermite, _iqi, _root_search
 from delegate_opt.surplus import sep_part
 from delegate_opt.thresholds import POOLING, STRICTLY_WELL_BEHAVED
 
@@ -95,13 +95,13 @@ class TestCertificates:
 
     def test_certificate_failure_is_numerical(self, baseline, uniform3, monkeypatch):
         # A refined value below the grid value is a numerical failure (exit 2).
-        exact = sp.surplus_of
+        exact = sp.surplus_from
 
         def low(*args, **kwargs):
             b = exact(*args, **kwargs)
             return dataclasses.replace(b, total=b.total - 1e-3)
 
-        monkeypatch.setattr(sp, "surplus_of", low)
+        monkeypatch.setattr(sp, "surplus_from", low)
         with pytest.raises(ConvergenceError):
             optimize(baseline, uniform3, OptimizerOptions(grid=13))
         assert main(["optimize"]) == 2
@@ -168,6 +168,13 @@ class TestOptions:
             with pytest.raises(ConfigError):
                 OptimizerOptions(refine=refine)
 
+    @pytest.mark.parametrize("tol", [0.0, -1.0, float("nan"), float("inf")])
+    def test_tolerance_guard(self, tol):
+        # A NaN tolerance used to skip the refinement silently, and 0 or -1
+        # to end in a ConvergenceError.
+        with pytest.raises(ConfigError, match="tolerance"):
+            OptimizerOptions(tol=tol)
+
     def test_no_refine_stays_on_grid(self, baseline, uniform3):
         out = optimize(baseline, uniform3, OptimizerOptions(refine="none"))
         assert out.diagnostics["refine_method"] == "none"
@@ -208,8 +215,9 @@ def test_edge_beats_diagonal_grid_best():
 
 
 def _scan_is_finite(p: ModelParams, d: SenderDist) -> bool:
-    scan = _Scan(p, d, OptimizerOptions().grid)
-    return bool(np.isfinite(scan.edge).all() and np.isfinite(scan.diag).all())
+    grid = np.linspace(0.0, d.zbar, OptimizerOptions().grid)
+    scan = sp.line_pass(p, d, grid, edge=slice(1, None))
+    return bool(np.isfinite(scan.edge[0][1:]).all() and np.isfinite(scan.diag[0]).all())
 
 
 def test_thin_tail_columns_solve():
@@ -254,25 +262,26 @@ def test_refined_edge_optimum_matches_reference(baseline, shape):
 
 
 def test_refinement_call_budget(monkeypatch):
-    # Lockstep root search: a few array objective calls per line, counted
-    # (not timed) over all 311 design rows. The first call on each line is
-    # the scan; each later one is a round of that line's root search, and
-    # the Hermite seed leaves at most two.
+    # Lockstep root search: a few line passes per design row, counted (not
+    # timed) over all 311 design rows. The first pass is the scan; each later
+    # one is a round of both lines' root searches, and the Hermite seed leaves
+    # at most two. Each pass makes the row's only tail_moments calls: the
+    # returned record is priced from a pass.
     calls = Counter()
-    for name in ("pi_w_edge", "pi_p_many"):
-        def counted(*args, inner=getattr(sp, name), name=name):
+    for owner, name in ((sp, "line_pass"), (SenderDist, "tail_moments")):
+        def counted(*args, inner=getattr(owner, name), name=name, **kwargs):
             calls[name] += 1
-            return inner(*args)
+            return inner(*args, **kwargs)
 
-        monkeypatch.setattr(sp, name, counted)
+        monkeypatch.setattr(owner, name, counted)
     evals = []
     for g in load_golden():
         calls.clear()
         d = SenderDist(g.alpha, g.beta_shape, g.zbar)
         out = optimize(ModelParams(a=g.a, k=g.k, q=g.q), d)
         evals.append(out.diagnostics["refine_evals"])
-        assert 2 <= calls["pi_w_edge"] <= 3, g.key()
-        assert 2 <= calls["pi_p_many"] <= 3, g.key()
+        assert 2 <= calls["line_pass"] <= 3, g.key()
+        assert calls["tail_moments"] == calls["line_pass"], g.key()
     assert len(evals) == 311
     assert np.mean(evals) <= 6.0
 
@@ -354,7 +363,7 @@ def test_root_search_bisects_in_log_z_near_effective_zero():
 
 def _edge_slope(p: ModelParams, d: SenderDist, z) -> np.ndarray:
     z = np.asarray(z, dtype=float)
-    return sp.pi_w_edge(p, d, z, d.tail_moments(z, p.q))[1]
+    return sp.line_pass(p, d, z, diag=slice(0)).edge[1]
 
 
 def test_design_rows_return_bracketed_slope_roots():
@@ -448,3 +457,32 @@ def test_pi_s_is_the_edge_scans_last_cell(baseline, shape):
     # the array closed form gives the scalar one's value bit for bit.
     d = SenderDist(*shape, 3)
     assert optimize(baseline, d).pi_s == pi_s(baseline, d)
+
+
+def _box_draws(n: int, seed: int):
+    """Seeded draws from the admissible box; every third has alpha < 1 and
+    the others beta_shape < 1, the endpoint-singular densities."""
+    rng = np.random.default_rng(seed)
+    for j in range(n):
+        p = ModelParams(
+            A=float(rng.uniform(0.5, 2.0)), beta_cost=float(rng.uniform(0.2, 1.0)),
+            a=float(rng.uniform(0.0, 0.9)), k=float(rng.uniform(0.5, 2.0)),
+            q=float(rng.uniform(0.0, 2.0)),
+        )
+        low, other = float(rng.uniform(0.3, 1.0)), float(rng.uniform(0.3, 8.0))
+        shape = (low, other) if j % 3 == 1 else (other, low)
+        yield p, SenderDist(*shape, float(rng.uniform(0.5, 4.0)))
+
+
+def test_returned_surplus_is_surplus_of_its_record():
+    # optimize prices its record with the separating part and the tail
+    # moments of the line pass that evaluated the point; surplus_of prices
+    # it from scratch. Every field agrees exactly, on all design rows and
+    # endpoint-singular box draws.
+    golden = [
+        (ModelParams(a=g.a, k=g.k, q=g.q), SenderDist(g.alpha, g.beta_shape, g.zbar))
+        for g in load_golden()
+    ]
+    for p, d in golden + list(_box_draws(60, 7)):
+        out = optimize(p, d)
+        assert out.surplus == sp.surplus_of(p, d, out.thresholds), (p, d)

@@ -20,7 +20,7 @@ from delegate_opt import (
 )
 from delegate_opt.distributions import EFFECTIVE_ZERO
 from delegate_opt.thresholds import pooled_action
-from delegate_opt.surplus import pi_p_many, pi_w_edge, pool_part, sep_part
+from delegate_opt.surplus import line_pass, pool_part, sep_part
 
 from conftest import AGREEMENT_SHAPES, BASELINE_SHAPES, random_admissible
 
@@ -232,19 +232,34 @@ class TestWellBehavedGain:
 
 @pytest.mark.parametrize("shape", AGREEMENT_SHAPES)
 def test_batched_lines_match_scalar(shape):
-    # The edge Pi_w(0, z) and the diagonal Pi_p(z) in one batch each, at
+    # The edge Pi_w(0, z) and the diagonal Pi_p(z) in one line_pass, at
     # seeded points plus the thin tail near zbar and the top guard.
     rng = np.random.default_rng(5)
     d = SenderDist(*shape, 3)
     z = np.append(rng.uniform(EFFECTIVE_ZERO, 3.0, 25), [3.0 - 1e-3, 3.0 - 1e-10])
     for p in (ModelParams(), random_admissible(rng), random_admissible(rng)):
-        moments = d.tail_moments(z, p.q)
-        edge, diag = pi_w_edge(p, d, z, moments)[0], pi_p_many(p, d, z, moments)[0]
+        lines = line_pass(p, d, z)
+        edge, diag = lines.edge[0], lines.diag[0]
         want = [
             [pi_w(p, d, 0.0, float(zi)).total for zi in z],
             [pi_p(p, d, float(zi)) for zi in z],
         ]
         np.testing.assert_allclose([edge, diag], want, rtol=1e-12, atol=0.0)
+
+
+def test_line_pass_evaluates_each_line_on_its_own_slice():
+    # A refinement round hands the diagonal's points and the edge's points
+    # to one pass: each line's values are the full pass's, bit for bit, and
+    # NaN on the other line's points; an empty slice skips the line.
+    d, p = SenderDist(2, 0.5, 3), ModelParams(a=0.3, q=1.4)
+    z = np.array([0.4, 0.4000005, 0.400001, 2.1, 2.1000005, 2.100001, 3.0 - 1e-10])
+    full, split = line_pass(p, d, z), line_pass(p, d, z, edge=slice(3, 7), diag=slice(0, 3))
+    for got, want, off in ((split.edge, full.edge, slice(0, 3)), (split.diag, full.diag, slice(3, 7))):
+        on = np.setdiff1d(np.arange(7), np.arange(7)[off])
+        for g, w in zip(got, want):
+            np.testing.assert_array_equal(g[on], w[on])
+            assert np.isnan(g[off]).all()
+    assert np.isnan(line_pass(p, d, z, edge=slice(0)).edge).all()
 
 
 # The shapes and parameters the slope test adds to the seeded box: the
@@ -285,13 +300,11 @@ def test_line_slopes_match_central_differences(params, shape):
     d = SenderDist(*shape)
     z = d.zbar * np.linspace(0.01, 0.99, 50)
     h = 1e-4 * np.minimum(z, d.zbar - z)
-    for line in (pi_w_edge, pi_p_many):
-        _, slope = line(params, d, z, d.tail_moments(z, params.q))
-        up, down = (
-            line(params, d, x, d.tail_moments(x, params.q))[0] for x in (z + h, z - h)
-        )
+    for line in ("edge", "diag"):
+        _, slope = getattr(line_pass(params, d, z), line)
+        up, down = (getattr(line_pass(params, d, x), line)[0] for x in (z + h, z - h))
         np.testing.assert_allclose(
-            slope, (up - down) / (2.0 * h), rtol=1e-5, atol=1e-7, err_msg=line.__name__
+            slope, (up - down) / (2.0 * h), rtol=1e-5, atol=1e-7, err_msg=line
         )
 
 

@@ -217,6 +217,18 @@ class TestInvertCap:
         with pytest.raises(DomainError):
             invert_cap(baseline, uniform3, path, path.t_l - 0.1)
 
+    @pytest.mark.parametrize("z_l", [0.0, 1.0])
+    def test_nan_cap_raises(self, baseline, uniform3, z_l):
+        # A NaN cap used to reach brentq, which failed with a generic ValueError.
+        path = SeparatingPath(baseline, z_l, 3.0)
+        with pytest.raises(DomainError, match="NaN"):
+            invert_cap(baseline, uniform3, path, float("nan"))
+
+    def test_nan_floor_raises(self, baseline, uniform3):
+        # A NaN floor used to come back as z_l = NaN.
+        with pytest.raises(DomainError, match="NaN"):
+            invert_floor(baseline, uniform3, float("nan"))
+
 
 class TestClassify:
     def test_regions(self):
