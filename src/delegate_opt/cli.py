@@ -169,6 +169,8 @@ def _cmd_diagnose(args) -> int:
     p, d, _ = load_config(args.config)
     if args.grid < 1:
         raise ConfigError(f"--grid must be at least 1, got {args.grid}")
+    if not 0.0 <= args.z_low < d.zbar:
+        raise ConfigError(f"--z-low must lie in [0, zbar={d.zbar}), got {args.z_low}")
     path = SeparatingPath(p, args.z_low, d.zbar)
     zs = np.linspace(args.z_low, d.zbar, args.grid)
     lines = ["z,sigma,tau,sender_rent,receiver_rent"]

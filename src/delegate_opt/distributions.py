@@ -33,6 +33,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 from scipy.special import betainc, betaincinv, betaln, hyp2f1
@@ -45,6 +46,11 @@ EFFECTIVE_ZERO = 1e-6
 
 _SUPPORT_TOL = 1e-9
 _TINY = np.finfo(float).tiny
+
+
+# Shape constants, memoized: every pass asks for the same few.
+_betaln = lru_cache(maxsize=256)(lambda a, b: float(betaln(a, b)))
+_ln_beta = lru_cache(maxsize=64)(lambda a, b: math.lgamma(a) + math.lgamma(b) - math.lgamma(a + b))
 
 
 @dataclass(frozen=True)
@@ -73,10 +79,7 @@ class SenderDist:
         if ((z_arr < -_SUPPORT_TOL) | (z_arr > self.zbar + _SUPPORT_TOL)).any():
             raise DomainError(f"pdf argument outside [0, {self.zbar}]")
         u = np.minimum(np.maximum(z_arr / self.zbar, 0.0), 1.0)
-        ln_b = (
-            math.lgamma(self.alpha) + math.lgamma(self.beta_shape)
-            - math.lgamma(self.alpha + self.beta_shape)
-        )
+        ln_b = _ln_beta(self.alpha, self.beta_shape)
         with np.errstate(divide="ignore", invalid="ignore"):
             ln_pdf = (
                 (self.alpha - 1.0) * np.log(u)
@@ -108,12 +111,12 @@ class SenderDist:
         """int_c^zbar z^p g(z) dz from y = (zbar - c)/zbar clamped to [0, 1]."""
         a, b = self.alpha, self.beta_shape
         if a + p > 0.0:
-            ratio = math.exp(betaln(a + p, b) - betaln(a, b))
+            ratio = math.exp(_betaln(a + p, b) - _betaln(a, b))
             return self.zbar**p * ratio * betainc(b, a + p, y)
         # np.power: a NumPy scalar's ** rounds by the C library's pow, which
         # can differ in the last bit from the array loop that tail_moments runs.
         tail = np.power(y, b) / b * hyp2f1(b, 1.0 - a - p, b + 1.0, y)
-        return self.zbar**p * tail / math.exp(betaln(a, b))
+        return self.zbar**p * tail / math.exp(_betaln(a, b))
 
     def partial_moment(self, c: float, p: float) -> float:
         """Upper partial moment int_c^zbar z^p g(z) dz."""

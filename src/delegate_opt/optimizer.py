@@ -7,9 +7,9 @@ grid, 2n - 1 cells in all, in one pass. Stage two solves for a root of each
 line's slope in the grid cells around its best cell, both lines in lockstep,
 one pass per round, from the root of the quintic Hermite fit of those cells'
 values and slopes; a root replaces the current optimum whenever its value is
-higher, the grid best's own line first. The returned record is priced from
-the pass that evaluated its point. No stage calls adaptive quadrature, and
-reruns reproduce a result bitwise.
+higher, the grid best's own line first. The returned record is built (unless
+Pooling or Separating) and priced from the pass that evaluated its point.
+No stage calls adaptive quadrature, and reruns reproduce a result bitwise.
 """
 
 from __future__ import annotations
@@ -24,22 +24,25 @@ from . import thresholds as th
 from .distributions import EFFECTIVE_ZERO, SenderDist
 from .errors import ConfigError, ConvergenceError
 from .model import ModelParams
+from .separating import SeparatingPath
 
 _TIE_TOL = 1e-9
 _FLAT_TOL = 1e-10
 _CERT_TOL = 1e-8
 _METHOD = {"diag": "golden-diagonal", "edge": "golden-edge"}
+MAX_GRID = 100_001
 
 
 @dataclass(frozen=True)
 class OptimizerOptions:
-    grid: int = 61
+    grid: int = 61  # scan points per line, an integer in [3, MAX_GRID]
     tol: float = 1e-6
     refine: str = "auto"  # auto | none
 
     def __post_init__(self) -> None:
-        if self.grid < 3:
-            raise ConfigError("grid resolution must be at least 3")
+        # A bool is an int, but below 3.
+        if not (isinstance(self.grid, (int, np.integer)) and 3 <= self.grid <= MAX_GRID):
+            raise ConfigError(f"grid must be an integer in [3, {MAX_GRID}], got {self.grid!r}")
         if not (math.isfinite(self.tol) and self.tol > 0):
             raise ConfigError(f"tolerance must be finite and positive, got {self.tol}")
         if self.refine not in ("auto", "none"):
@@ -56,27 +59,25 @@ class DelegationOutcome:
     diagnostics: dict = field(compare=False)
 
 
-def _best(scan: sp.LinePass) -> tuple[int, int, float, bool, bool]:
+def _best(edge: list, diag: list) -> tuple[int, int, float, bool, bool]:
     """Best cell (i, j) of the grid scan, (0, j) on the edge and (i, i) on the
     diagonal: value first, then larger z_h, then smaller z_l."""
-    n = scan.z.size
-    ii = np.concatenate((np.zeros(n, dtype=int), np.arange(1, n)))
-    jj = np.concatenate((np.arange(n), np.arange(1, n)))
-    values = np.concatenate((scan.edge[0], scan.diag[0][1:]))
-    vmax = values.max()
-    tied = np.flatnonzero(values >= vmax - _TIE_TOL)
-    k = min(tied, key=lambda t: (-jj[t], ii[t]))
-    i, j = int(ii[k]), int(jj[k])
-    near = np.flatnonzero(values >= vmax - _FLAT_TOL)
-    flat = bool(np.any((np.abs(ii[near] - i) > 1) | (np.abs(jj[near] - j) > 1)))
-    return i, j, float(values[k]), len(tied) > 1, flat
+    n, values = len(edge), edge + diag[1:]
+    vmax = max(values)
+    # Value k is cell (0, k) on the edge, and (k - n + 1, k - n + 1) past it.
+    tied = [((0, k) if k < n else (k - n + 1,) * 2, v)
+            for k, v in enumerate(values) if v >= vmax - _TIE_TOL]
+    (i, j), value = min(tied, key=lambda cell: (-cell[0][1], cell[0][0]))
+    flat = any(abs(a - i) > 1 or abs(b - j) > 1
+               for (a, b), v in tied if v >= vmax - _FLAT_TOL)
+    return i, j, value, len(tied) > 1, flat
 
 
 def _iqi(z, s) -> float:
     """Root of the quadratic z(s) through three points (Brent's inverse
     quadratic interpolation); NaN unless the three slopes are distinct."""
     if len(set(s)) < 3:
-        return np.nan
+        return math.nan
     return sum(z[i] * s[i - 1] * s[i - 2] / ((s[i] - s[i - 1]) * (s[i] - s[i - 2]))
                for i in range(3))
 
@@ -88,7 +89,7 @@ def _hermite(z, f, s) -> float:
     (z0, z1, z2), (f0, f1, f2), (s0, s1, s2) = (map(float, w) for w in (z, f, s))
     h = 0.5 * (z2 - z0)
     if not abs(z1 - z0 - h) <= 1e-9 * h or not math.isfinite(f0 + f1 + f2 + s0 + s1 + s2):
-        return np.nan
+        return math.nan
     # P(t) = f1 + g1 t + c2 t^2 + c3 t^3 + c4 t^4 + c5 t^5, t = (z - z1)/h.
     g0, g1, g2 = h * s0, h * s1, h * s2
     even, odd = 0.5 * (f2 + f0) - f1, 0.5 * (f2 - f0) - g1
@@ -101,16 +102,17 @@ def _hermite(z, f, s) -> float:
         a, b = (t, b) if slope > 0.0 else (a, t)
         curve = 2.0 * c2 + t * (6.0 * c3 + t * (12.0 * c4 + t * 20.0 * c5))
         t_new = t - slope / curve if curve else a
-        t_new = t_new if a < t_new < b else 0.5 * (a + b)
+        # An exact root t = b ends the loop, where bisection would walk back to it.
+        t_new = t_new if a < t_new <= b else 0.5 * (a + b)
         if abs(t_new - t) <= 1e-15:
             break
         t = t_new
     return z1 + h * t_new
 
 
-def _root_search(z: np.ndarray, f: np.ndarray, s: np.ndarray, tol: float):
+def _root_search(z: list, f: list, s: list, tol: float):
     """Bracketed root of a line's slope: a generator that yields each round's
-    points and is sent back their (values, slopes).
+    points and is sent back their (values, slopes), all lists of floats.
 
     ``z``, ``f``, ``s`` hold the line's best grid cell and its neighbours; an
     end pulled inside [EFFECTIVE_ZERO, zbar - EFFECTIVE_ZERO], where
@@ -125,17 +127,18 @@ def _root_search(z: np.ndarray, f: np.ndarray, s: np.ndarray, tol: float):
     slope, root); with no sign change across the bracket, its better end
     (root False).
     """
-    nan = np.isnan(s)
-    if nan.any():
-        x, back = np.unique(z[nan], return_inverse=True)
+    nan = [k for k in range(3) if math.isnan(s[k])]
+    if nan:
+        x = sorted({z[k] for k in nan})
         fx, sx = yield x
-        f[nan], s[nan] = fx[back], sx[back]
+        for k in nan:
+            f[k], s[k] = fx[x.index(z[k])], sx[x.index(z[k])]
     k = 1 if s[1] > 0.0 else 0
     lo, hi = (z[k], f[k], s[k]), (z[k + 1], f[k + 1], s[k + 1])
     if not lo[2] > 0.0 > hi[2]:
         return (*max((lo, hi), key=lambda pt: pt[1]), False)
-    v, last = _hermite(z, f, s), np.inf
-    v = _iqi(z, s) if np.isnan(v) else v
+    v, last = _hermite(z, f, s), math.inf
+    v = _iqi(z, s) if math.isnan(v) else v
     while hi[0] - lo[0] > tol:
         (a, _, sa), (b, _, sb) = lo, hi
         if not a < v < b:
@@ -143,7 +146,7 @@ def _root_search(z: np.ndarray, f: np.ndarray, s: np.ndarray, tol: float):
             v = a - sa * (b - a) / (sb - sa) if b - a <= 0.5 * last else (
                 math.sqrt(a * b) if b > 4.0 * a else 0.5 * (a + b))
         last = b - a
-        x = min(max(v - 0.5 * tol, a), b - tol) + tol * np.array([0.0, 0.5, 1.0])
+        x = [min(max(v - 0.5 * tol, a), b - tol) + tol * c for c in (0.0, 0.5, 1.0)]
         fx, sx = yield x
         stencil = list(zip(x, fx, sx))
         if sx[0] >= 0.0 >= sx[-1]:
@@ -163,19 +166,19 @@ def _refine(p: ModelParams, d: SenderDist, searches: dict, where: dict) -> tuple
         for line, search in searches.items():
             if line not in results:
                 try:
-                    points.append(search.send(replies[line]))
+                    x = search.send(replies[line])
                 except StopIteration as stop:
                     results[line] = stop.value
                     continue
-                at = sum(x.size for x in points)
-                spans[line] = slice(at - points[-1].size, at)
+                spans[line] = slice(len(points), len(points) + len(x))
+                points += x
         if not points:
             return results, n_evals
-        lp = sp.line_pass(p, d, np.concatenate(points), **spans)
+        lp = sp.line_pass(p, d, points, **spans)
         for line, span in spans.items():
-            replies[line] = tuple(f[span] for f in getattr(lp, line))
-            where.update(((line, lp.z[i]), (lp, i)) for i in range(lp.z.size)[span])
-        n_evals += lp.z.size
+            replies[line] = tuple(f[span].tolist() for f in getattr(lp, line))
+            where.update(((line, points[i]), (lp, i)) for i in range(len(points))[span])
+        n_evals += len(points)
     raise ConvergenceError("refinement did not bracket a root of the slope")
 
 
@@ -188,24 +191,27 @@ def optimize(
     scan = sp.line_pass(p, d, grid, edge=slice(1, None))
     for edge, diag in zip(scan.edge, scan.diag):
         edge[0] = diag[0]  # the corner (0, 0) lies on both lines
-    gi, gj, g_val, tie_break, flat = _best(scan)
+    # The search's bookkeeping runs on Python floats, not NumPy scalars.
+    zs = grid.tolist()
+    lines = {name: tuple(f.tolist() for f in getattr(scan, name)) for name in _METHOD}
+    gi, gj, g_val, tie_break, flat = _best(lines["edge"][0], lines["diag"][0])
     line = "diag" if gi == gj else "edge"
-    z_h, val, at = grid[gj], g_val, (scan, gj)
-    slope = getattr(scan, line)[1][gj]
+    z_h, val, at = zs[gj], g_val, (scan, gj)
+    slope = lines[line][1][gj]
     method, refine_evals = "none", 0
     if opts.refine != "none":
         searches, where = {}, {}
         for name in sorted(_METHOD, key=lambda name: name != line):
-            values, slopes = getattr(scan, name)
+            values, slopes = lines[name]
             # The line's best cell, past the corner on the edge: the larger z on ties.
             first = int(name == "edge")
-            tail = values[first:]
-            c = first + np.flatnonzero(tail >= tail.max() - _TIE_TOL)[-1]
-            k = np.array([max(c - 1, 0), c, min(c + 1, opts.grid - 1)])
-            z = np.minimum(np.maximum(grid[k], EFFECTIVE_ZERO), d.zbar - EFFECTIVE_ZERO)
-            s_k = np.where(z == grid[k], slopes[k], np.nan)
-            searches[name] = _root_search(z, values[k], s_k, opts.tol)
-            where.update(((name, grid[i]), (scan, i)) for i in k)
+            top = max(values[first:])
+            c = next(i for i in range(opts.grid - 1, -1, -1) if values[i] >= top - _TIE_TOL)
+            k = (max(c - 1, 0), c, min(c + 1, opts.grid - 1))
+            z = [min(max(zs[i], EFFECTIVE_ZERO), d.zbar - EFFECTIVE_ZERO) for i in k]
+            s_k = [slopes[i] if z_i == zs[i] else math.nan for i, z_i in zip(k, z)]
+            searches[name] = _root_search(z, [values[i] for i in k], s_k, opts.tol)
+            where.update(((name, zs[i]), (scan, i)) for i in k)
         method = _METHOD[line]
         results, refine_evals = _refine(p, d, searches, where)
         # The tie tolerance guards only points that are not roots, such as
@@ -215,14 +221,21 @@ def optimize(
             if v > val + (0.0 if root else _TIE_TOL):
                 line, z_h, val, slope, method = name, z, v, s, _METHOD[name]
                 at = where[name, z]
-    record = th.resolve(p, d, z_h if line == "diag" else 0.0, z_h)
+    z_l, (lp, i) = z_h if line == "diag" else 0.0, at
+    if th.classify(z_l, z_h, d.zbar) == th.STRICTLY_WELL_BEHAVED:
+        # An edge point (z_l = 0): the pass that evaluated it solved its top system.
+        s_h, sig, ez = (float(a[i]) for a in (lp.s_h, lp.sig, lp.moments[0]))
+        cap = th.retrieve_cap(p, SeparatingPath(p, 0.0, d.zbar), z_h, sig, s_h, ez)
+        record = th.Thresholds(0.0, z_h, 0.0, s_h, 0.0, *cap, th.STRICTLY_WELL_BEHAVED)
+    else:
+        record = th.resolve(p, d, z_l, z_h)
     # surplus_of's pieces at record.z_h, read off the pass that holds them.
     lp, i = (scan, opts.grid - 1) if record.eq_class == th.SEPARATING else at
     sep = 0.0 if record.eq_class == th.POOLING else lp.sep[i]
     breakdown = sp.surplus_from(p, d, record, sep, [m[i] for m in lp.moments])
     diagnostics = {
         "grid": opts.grid,
-        "grid_best": {"z_l": float(grid[gi]), "z_h": float(grid[gj]), "value": g_val},
+        "grid_best": {"z_l": zs[gi], "z_h": zs[gj], "value": g_val},
         "refine_method": method,
         "refine_evals": refine_evals,
         "n_grid_evals": 2 * opts.grid - 1,

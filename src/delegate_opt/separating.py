@@ -112,7 +112,7 @@ class SeparatingPath:
     def mu_tilde(self, s):
         """Market belief mu(s) about the sender type choosing action s."""
         s_arr = np.asarray(s, dtype=float)
-        if np.any(s_arr < self.s_l * (1.0 - _DOMAIN_SLACK) - _DOMAIN_SLACK):
+        if (s_arr < self.s_l * (1.0 - _DOMAIN_SLACK) - _DOMAIN_SLACK).any():
             raise DomainError(f"mu undefined below the entry action s_l={self.s_l}")
         s_arr = np.maximum(s_arr, self.s_l)
         q2 = 2.0 + self.params.q

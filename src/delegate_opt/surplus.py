@@ -28,7 +28,7 @@ endpoint singularity of Beta shapes below 1; only the two limits invert mu.
 The pooling part takes its tail integrals from the closed forms in
 ``distributions``. Transfers cancel, so nothing here reads wages.
 
-``thresholds.resolve`` alone decides which equilibrium a pair (z_l, z_h)
+``thresholds.classify`` alone decides which equilibrium a pair (z_l, z_h)
 induces, and ``surplus_of`` prices its record (``surplus_from`` alone,
 when a ``line_pass`` already holds the pieces). So ``pi_w`` snaps as
 ``classify`` does: a pair within EFFECTIVE_ZERO of the diagonal is priced as
@@ -43,10 +43,10 @@ from collections import namedtuple
 from dataclasses import dataclass, replace
 
 import numpy as np
-from scipy.special import betainc, betaln
+from scipy.special import betainc
 
 from . import thresholds
-from .distributions import _TINY, EFFECTIVE_ZERO, SenderDist
+from .distributions import _TINY, EFFECTIVE_ZERO, SenderDist, _betaln
 from .errors import DomainError
 from .model import ModelParams
 from .quadrature import integrate
@@ -88,7 +88,7 @@ def sep_part(
     power = (2.0 + 2.0 * p.q + p.a) * e
     k_net = p.A * p.k * path.c1 ** (-p.a * e) - p.beta_cost * path.c1 ** (-2.0 * e)
     a, b = d.alpha + power, d.beta_shape
-    scale = k_net * d.zbar**power * math.exp(betaln(a, b) - betaln(d.alpha, b))
+    scale = k_net * d.zbar**power * math.exp(_betaln(a, b) - _betaln(d.alpha, b))
     # SciPy returns NaN outside [0, 1], so the limits are clamped first.
     x_lo, x_hi = (np.minimum(np.maximum(z / d.zbar, 0.0), 1.0) for z in (z_lo, z_hi))
     return scale * (betainc(a, b, x_hi) - betainc(a, b, x_lo))
@@ -152,9 +152,9 @@ def pi_p(p: ModelParams, d: SenderDist, z_star: float) -> float:
 
 
 # line_pass at points z: edge is (Pi_w(0, z), slope) and diag (Pi_p(z), slope),
-# NaN off the line's points; sep is the edge's separating part and moments
-# is d.tail_moments(z, p.q).
-LinePass = namedtuple("LinePass", "z moments sep edge diag")
+# NaN off the line's points; sep, sig and s_h are the edge's separating part,
+# sigma(z) and pooled action, and moments is d.tail_moments(z, p.q).
+LinePass = namedtuple("LinePass", "z moments sep sig s_h edge diag")
 
 
 def line_pass(p: ModelParams, d: SenderDist, z: np.ndarray, edge: slice = slice(None),
@@ -182,27 +182,31 @@ def line_pass(p: ModelParams, d: SenderDist, z: np.ndarray, edge: slice = slice(
     moments = d.tail_moments(z, p.q)
     ez, m_q, m_inv, mass = moments
     top, z_q = z >= d.zbar - _TOP_GUARD, z**p.q
-    sep, e_val, e_slope, d_val, d_slope = np.full((5, z.size), np.nan)
+    sep, e_sig, e_s, e_val, e_slope, d_val, d_slope = np.full((7, z.size), np.nan)
     with np.errstate(divide="ignore", invalid="ignore"):
         dez = d.pdf(z) * (ez - z) / np.maximum(mass, _TINY)
         zs, e, w_q, w_inv = z[diag], ez[diag], m_q[diag], m_inv[diag]
         if zs.size:
+            low, cap = zs < EFFECTIVE_ZERO, top[diag]
             s_star = (zs ** (p.q + 1.0) * p.A * p.k * e / p.beta_cost) ** (1.0 / (2.0 - p.a))
-            s_star = np.where(zs < EFFECTIVE_ZERO, 0.0, s_star)
-            d_val[diag] = np.where(top[diag], 0.0, _pooled_net(p, s_star, e, w_q, w_inv))
+            s_star[low] = 0.0
+            value = _pooled_net(p, s_star, e, w_q, w_inv)
             rate = p.a * (p.q + 1.0) / zs + 2.0 * dez[diag] / e
             d_w = -(p.q + 1.0) * z_q[diag] * w_inv
-            slope = d_val[diag] * rate / (2.0 - p.a) + p.A * p.k * s_star**p.a * e * d_w
-            d_slope[diag] = np.where(top[diag] | (zs < EFFECTIVE_ZERO), 0.0, slope)
+            slope = value * rate / (2.0 - p.a) + p.A * p.k * s_star**p.a * e * d_w
+            value[cap], slope[low | cap] = 0.0, 0.0
+            d_val[diag], d_slope[diag] = value, slope
     if z[edge].size:
         path = SeparatingPath(p, 0.0, d.zbar)
         sep[edge] = sep_part(p, d, path, 0.0, np.where(top[edge], d.zbar, z[edge]))
+        inner = ~top[edge]
+        inner = slice(None) if inner.all() else inner  # no top-guard point: no mask
         value, slope = e_val[edge], e_slope[edge]  # views
         value[:], slope[:] = sep[edge], 0.0
-        inner = ~top[edge]
         zs, e, w_q, w_inv, de = (a[edge][inner] for a in (z, ez, m_q, m_inv, dez))
         sig = path.sigma_many(zs)
         s = thresholds.pooled_action_many(p, sig, zs, e)
+        e_sig[edge][inner], e_s[edge][inner] = sig, s
         value[inner] += _pooled_net(p, s, e, w_q, w_inv)
         power = (2.0 + 2.0 * p.q + p.a) / (2.0 - p.a)
         lead, rhs = p.A * p.k * s**p.a, thresholds._top_rhs(p, sig, zs)
@@ -211,7 +215,7 @@ def line_pass(p: ModelParams, d: SenderDist, z: np.ndarray, edge: slice = slice(
         # s dPool/ds, with beta s^2 = (X - rhs) z.
         s_d_pool = p.a * lead * e * w_q - 2.0 * (x - rhs) * zs * w_inv
         slope[inner] = lead * de * w_q - z_f_z * s_d_pool / (zs * ((p.a - 2.0) * x + 2.0 * rhs))
-    return LinePass(z, moments, sep, (e_val, e_slope), (d_val, d_slope))
+    return LinePass(z, moments, sep, e_sig, e_s, (e_val, e_slope), (d_val, d_slope))
 
 
 def pi_s(p: ModelParams, d: SenderDist, z_l: float = 0.0) -> float:

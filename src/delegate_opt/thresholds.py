@@ -129,12 +129,14 @@ def pooled_action_many(
 
     Divided by s^a and written in u = s^(2-a) with e = a/(2-a), the residual
     c1 s^a - c2 s^2 - rhs becomes f(u) = c1 - c2 u - rhs u^(-e). Newton
-    starts at u0 = c1/c2, where f(u0) = -rhs u0^(-e) <= 0. For rhs >= 0, f is
-    concave, so Newton descends monotonically onto the larger root. A
-    negative rhs, which only rounding produces (z_h next to z_l), makes f
-    convex and decreasing, and Newton climbs onto its only root. f is linear
-    when a = 0. Newton stops on its own step, |du| <= (2-a) 1e-12 u, which is
-    1e-12 relative in s = u^(1/(2-a)), taken once on exit. Every z_h must lie
+    starts at u0 = c1/c2, where f(u0) = -rhs u0^(-e) <= 0, or, if smaller and
+    rhs > 0, at the root of the linear bound on f from the tangent of the
+    convex u^(-e) at sigma^(2-a) where that bound falls: right of the larger
+    root. For rhs >= 0, f is concave, so Newton descends monotonically onto
+    it. A negative rhs, which only rounding produces (z_h next to z_l), makes
+    f convex and decreasing, and Newton climbs onto its only root. f is
+    linear when a = 0. Newton stops once its step |du| <= 1e-7 u, which left
+    u within about 1e-14 relative (quadratic convergence). Every z_h must lie
     strictly inside (z_l, zbar - 1e-9). The residual at sigma(z_h) is exactly
     A k sigma^a z_h^q (ez - z_h); where that is not positive, no root exists.
     A 0-d input gives a float.
@@ -148,12 +150,18 @@ def pooled_action_many(
     rhs = _top_rhs(p, sig, z_h)
     e = p.a / (2.0 - p.a)
     e_rhs = e * rhs
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        u_sig = np.power(sig, 2.0 - p.a)
+        t_e = u_sig**-e
+        fall = c2 - e_rhs * t_e / u_sig
+        tangent = (c1 - (1.0 + e) * rhs * t_e) / fall
     u = c1 / c2
+    u = np.where(np.minimum(rhs, fall) > 0.0, np.minimum(u, tangent), u)
     for _ in range(100):
         u_e = u**-e
         du = (c1 - c2 * u - rhs * u_e) / (e_rhs * u_e / u - c2)
         u = u - du
-        if (np.abs(du) <= (2.0 - p.a) * 1e-12 * u).all():
+        if (np.abs(du) <= 1e-7 * u).all():
             s = u ** (1.0 / (2.0 - p.a))
             return float(s) if np.ndim(s) == 0 else s
     raise ConvergenceError("pooled-action Newton iteration did not converge")
@@ -162,31 +170,31 @@ def pooled_action_many(
 def solve_top(
     p: ModelParams, d: SenderDist, path: SeparatingPath, z_h: float
 ) -> tuple[float, float]:
-    """Pooled action and wage cap (s_h, t_h) for a given top threshold z_h.
-
-    t_h comes from the sellers' jump indifference; the buyers'-side retrieval
-    must agree (the two equations sum to the one defining s_h) and any
-    disagreement beyond 1e-6 relative aborts.
-    """
+    """Pooled action and wage cap (s_h, t_h) for a given top threshold z_h."""
     if not path.z_l < z_h < d.zbar - _TOP_GUARD:
         raise DomainError(f"z_h={z_h} outside (z_l={path.z_l}, zbar-1e-9)")
     sig, ez = path.sigma_tilde(z_h), d.trunc_mean(z_h)
     s_h = pooled_action_many(p, sig, z_h, ez)
+    return s_h, retrieve_cap(p, path, z_h, sig, s_h, ez)[0]
+
+
+def retrieve_cap(p: ModelParams, path: SeparatingPath, z_h, sig, s_h, ez) -> tuple[float, float]:
+    """Wage cap t_h and receiver x_h = n(z_h) from sigma(z_h), the pooled action
+    and the tail mean. t_h comes from the sellers' jump indifference; the
+    buyers'-side retrieval must agree (the two equations sum to the one
+    defining s_h) and any disagreement beyond 1e-6 relative aborts.
+    """
     tau_sig = path.tau_tilde(sig)
-    t_sellers = model.cost_c(p, s_h, z_h) + tau_sig - model.cost_c(p, sig, z_h)
-    x_h = model.match_n(p, z_h)
-    t_buyers = (
-        p.A * x_h * s_h**p.a * ez
-        - model.surplus_v(p, x_h, sig, z_h)
-        + tau_sig
-    )
+    t_sellers = p.beta_cost * s_h**2 / z_h + tau_sig - p.beta_cost * sig**2 / z_h
+    x_h = p.k * z_h**p.q
+    t_buyers = p.A * x_h * s_h**p.a * ez - p.A * sig**p.a * x_h * z_h + tau_sig
     scale = max(1.0, abs(t_sellers), abs(t_buyers))
     if abs(t_sellers - t_buyers) > _RETRIEVAL_RTOL * scale:
         raise InconsistencyError(
             f"cap retrievals disagree at z_h={z_h}: sellers={t_sellers!r}, "
             f"buyers={t_buyers!r}"
         )
-    return s_h, t_sellers
+    return t_sellers, x_h
 
 
 def pooling_star(

@@ -185,6 +185,17 @@ class TestDiagnose:
         assert run_cli("diagnose", "--grid", grid) == 1
         assert "config error" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("z_low", ["nan", "-0.5", "3", "inf"])
+    def test_entry_type_outside_support_is_config_error(self, z_low, capsys):
+        # The default zbar is 3. Such a --z-low used to exit 2 as a numerical
+        # failure raised by SeparatingPath.
+        assert run_cli("diagnose", "--grid", "5", f"--z-low={z_low}") == 1
+        assert "config error" in capsys.readouterr().err
+
+    def test_entry_type_inside_support_runs(self, capsys):
+        assert run_cli("diagnose", "--grid", "3", "--z-low", "0.5") == 0
+        assert capsys.readouterr().out.splitlines()[1].startswith("0.500000,")
+
 
 def test_console_entry_point():
     proc = subprocess.run(

@@ -14,9 +14,10 @@ from delegate_opt.cli import main
 from delegate_opt.errors import ConfigError, ConvergenceError
 from delegate_opt.distributions import EFFECTIVE_ZERO
 from delegate_opt.harness import load_golden, run_config
-from delegate_opt.optimizer import OptimizerOptions, _hermite, _iqi, _root_search
+from delegate_opt.optimizer import MAX_GRID, OptimizerOptions, _hermite, _iqi, _root_search
 from delegate_opt.surplus import sep_part
-from delegate_opt.thresholds import POOLING, STRICTLY_WELL_BEHAVED
+from delegate_opt import thresholds
+from delegate_opt.thresholds import POOLING, STRICTLY_WELL_BEHAVED, resolve
 
 from conftest import AGREEMENT_SHAPES, BASELINE_SHAPES, brute_force_triangle, sep_cells
 
@@ -167,6 +168,18 @@ class TestOptions:
         for refine in ("downhill", "golden", "nelder-mead"):
             with pytest.raises(ConfigError):
                 OptimizerOptions(refine=refine)
+
+    @pytest.mark.parametrize("grid", [7.5, True, 2, 10**9, np.float64(61)])
+    def test_grid_must_be_a_bounded_integer(self, grid):
+        # 7.5 used to pass and then fail in np.linspace with NumPy's generic
+        # TypeError, and 10**9 to start a scan of that many points. The
+        # options are only built here, never run.
+        with pytest.raises(ConfigError, match="grid"):
+            OptimizerOptions(grid=grid)
+
+    @pytest.mark.parametrize("grid", [3, MAX_GRID, np.int64(61)])
+    def test_grid_range_ends_are_accepted(self, grid):
+        assert OptimizerOptions(grid=grid).grid == grid
 
     @pytest.mark.parametrize("tol", [0.0, -1.0, float("nan"), float("inf")])
     def test_tolerance_guard(self, tol):
@@ -335,16 +348,17 @@ def test_root_search_seeds_from_the_slopes_on_unequal_nodes():
 def test_root_search_from_a_grid_end(first):
     # The best cell at index 0 or n - 1: the nodes repeat and clip, so the
     # search fills the NaN slopes, seeds without the Hermite fit, and still
-    # brackets r in one round.
+    # brackets r in one round. The search takes and yields lists of floats.
     f, s = _quintic(0.01 if first else 0.99)
     k = [0, 0, 1] if first else [59, 60, 60]
     z = np.clip(np.linspace(0.0, 1.0, 61)[k], EFFECTIVE_ZERO, 1.0 - EFFECTIVE_ZERO)
-    search = _root_search(z, f(z), np.where(np.isin(k, (0, 60)), np.nan, s(z)), 1e-6)
+    slopes = np.where(np.isin(k, (0, 60)), np.nan, s(z))
+    search = _root_search(z.tolist(), f(z).tolist(), slopes.tolist(), 1e-6)
     x, rounds = next(search), 0
-    assert x.size == 1
+    assert len(x) == 1
     try:
         while True:
-            x, rounds = search.send((f(x), s(x))), rounds + 1
+            x, rounds = search.send((f(x).tolist(), s(x).tolist())), rounds + 1
     except StopIteration as stop:
         z_root, _, slope, root = stop.value
     assert root and rounds == 1
@@ -474,15 +488,48 @@ def _box_draws(n: int, seed: int):
         yield p, SenderDist(*shape, float(rng.uniform(0.5, 4.0)))
 
 
+def _rows_and_draws():
+    """All design rows, then 60 seeded endpoint-singular box draws."""
+    golden = [
+        (ModelParams(a=g.a, k=g.k, q=g.q), SenderDist(g.alpha, g.beta_shape, g.zbar))
+        for g in load_golden()
+    ]
+    return golden + list(_box_draws(60, 7))
+
+
 def test_returned_surplus_is_surplus_of_its_record():
     # optimize prices its record with the separating part and the tail
     # moments of the line pass that evaluated the point; surplus_of prices
     # it from scratch. Every field agrees exactly, on all design rows and
     # endpoint-singular box draws.
-    golden = [
-        (ModelParams(a=g.a, k=g.k, q=g.q), SenderDist(g.alpha, g.beta_shape, g.zbar))
-        for g in load_golden()
-    ]
-    for p, d in golden + list(_box_draws(60, 7)):
+    for p, d in _rows_and_draws():
         out = optimize(p, d)
         assert out.surplus == sp.surplus_of(p, d, out.thresholds), (p, d)
+
+
+def test_record_from_the_pass_is_the_resolved_record(monkeypatch):
+    # A StrictlyWellBehaved optimum's record is built from the line pass
+    # that solved its top system; only a Pooling or Separating one goes
+    # through resolve. The record is resolve's: exact in the types, the
+    # entry pair and the class, and to 1e-14 relative in the top reactions,
+    # where the pass's array Newton and resolve's scalar one part.
+    resolved = []
+
+    def counted(*args):
+        resolved.append(resolve(*args))
+        return resolved[-1]
+
+    monkeypatch.setattr(thresholds, "resolve", counted)
+    classes = Counter()
+    for p, d in _rows_and_draws():
+        resolved.clear()
+        rec = optimize(p, d).thresholds
+        classes[rec.eq_class] += 1
+        want = resolve(p, d, rec.z_l, rec.z_h)
+        assert (rec.z_l, rec.z_h, rec.s_l, rec.t_l, rec.eq_class) == (
+            want.z_l, want.z_h, want.s_l, want.t_l, want.eq_class), (p, d)
+        for name in ("s_h", "t_h", "x_h"):
+            got, ref = getattr(rec, name), getattr(want, name)
+            assert abs(got - ref) <= 1e-14 * abs(ref), (p, d, name)
+        assert resolved == ([] if rec.eq_class == STRICTLY_WELL_BEHAVED else [rec]), (p, d)
+    assert classes[STRICTLY_WELL_BEHAVED] > 300 and classes[POOLING] >= 31

@@ -2,6 +2,8 @@ from __future__ import annotations
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.optimize import brentq
 
 from delegate_opt import (
@@ -260,7 +262,12 @@ def pooled_action_by_brentq(
     The residual is positive just above sigma(z_h) and negative beyond the
     larger root, so doubling an upper end brackets it for brentq.
     """
-    sig, ez = path.sigma_tilde(z_h), d.trunc_mean(z_h)
+    return larger_root_by_brentq(p, path.sigma_tilde(z_h), z_h, d.trunc_mean(z_h))
+
+
+def larger_root_by_brentq(p: ModelParams, sig: float, z_h: float, ez: float) -> float:
+    """The root above sig of the top indifference residual given sig and the
+    tail mean ez > z_h; sig need not be sigma(z_h)."""
     rhs = p.A * p.k * sig**p.a * z_h ** (1.0 + p.q) - p.beta_cost * sig**2 / z_h
 
     def resid(s: float) -> float:
@@ -321,6 +328,46 @@ class TestPooledActionMany:
         for tail_mean in (z_h, np.nextafter(z_h, 0.0)):
             with pytest.raises(DegenerateTailError):
                 pooled_action_many(baseline, sig, z_h, tail_mean)
+
+
+def _unit(lo: float = 0.0) -> st.SearchStrategy[float]:
+    return st.floats(lo, 1.0, allow_nan=False)
+
+
+@settings(derandomize=True, deadline=None, max_examples=100)
+@given(
+    a=_unit(), q=st.floats(0.0, 4.0), left=st.booleans(), low=st.floats(0.3, 1.0),
+    other=st.floats(0.3, 8.0), zbar=st.floats(0.5, 4.0), entry=st.floats(0.0, 0.6),
+    us=st.lists(_unit(1e-9), min_size=3, max_size=3),
+)
+def test_newton_start_and_stop_over_the_box(a, q, left, low, other, zbar, entry, us):
+    # Both Newton starts, on z_l = 0 and z_l > 0 paths of endpoint-singular
+    # shapes, with z_h from 1e-9 of the span above z_l (where rounding can
+    # make rhs <= 0) to zbar - 1e-6. Arrays and floats agree with brentq.
+    p = ModelParams(a=0.99 * a, q=q)
+    d = SenderDist(*((low, other) if left else (other, low)), zbar)
+    z_l = 0.0 if entry < 0.05 else entry * zbar
+    top = zbar - 1e-6
+    z_h = np.array([z_l + 1e-9 * (top - z_l)] + [z_l + u * (top - z_l) for u in us])
+    on_path = SeparatingPath(p, z_l, zbar).sigma_many(z_h)
+    ez = np.array([d.trunc_mean(z) for z in z_h])
+    # sigma^(2-a) = c scale makes X / Y = 1/c, where X = A k sigma^a z_h^(1+q)
+    # and Y = beta sigma^2 / z_h: rhs = X - Y < 0 for c > 1, and the tangent
+    # rises for c < a/2, where the tangent start must not be used. There the
+    # root's relative condition number grows like 1/a, so that element needs
+    # a well away from 0. One more element has its tail mean 1e-9 relative
+    # above z_h.
+    scale = p.A * p.k * z_h ** (2.0 + p.q) / p.beta_cost
+    cases = [(on_path, ez), (on_path, z_h * (1.0 + 1e-9))]
+    factors = [2.0, 0.25 * p.a] if p.a >= 0.1 else [2.0]
+    cases += [((c * scale) ** (1.0 / (2.0 - p.a)), ez) for c in factors]
+    sig, ez = (np.concatenate(c) for c in zip(*cases))
+    z_h = np.tile(z_h, len(cases))
+    want = np.array([larger_root_by_brentq(p, *args) for args in zip(sig, z_h, ez)])
+    tol = 2.0 * (1e-14 + 1e-12 * want)
+    assert np.all(np.abs(pooled_action_many(p, sig, z_h, ez) - want) <= tol)
+    for j, args in enumerate(zip(sig.tolist(), z_h.tolist(), ez.tolist())):
+        assert abs(pooled_action_many(p, *args) - want[j]) <= tol[j]
 
 
 def test_thin_tail_raises_typed_error(monkeypatch):
