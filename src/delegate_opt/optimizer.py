@@ -3,7 +3,9 @@
 The optimum of {0 <= z_l <= z_h <= zbar} lies on the z_l = 0 edge Pi_w(0, z_h)
 or on the pooling diagonal Pi_p(z). One array pass (``surplus.line_pass``)
 gives both lines' values and closed-form slopes. Stage one scans both on a
-grid, 2n - 1 cells in all, in one pass. Stage two solves for a root of each
+grid, 2n - 1 cells in all, in one pass, whose distribution side (tail moments
+and density, ``surplus.dist_side``) depends on (d, q, n) alone and comes from
+a cache of 128 such keys for n <= 1,001. Stage two solves for a root of each
 line's slope in the grid cells around its best cell, both lines in lockstep,
 one pass per round, from the root of the quintic Hermite fit of those cells'
 values and slopes; a root replaces the current optimum whenever its value is
@@ -16,6 +18,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from functools import lru_cache
 
 import numpy as np
 
@@ -31,6 +34,8 @@ _FLAT_TOL = 1e-10
 _CERT_TOL = 1e-8
 _METHOD = {"diag": "golden-diagonal", "edge": "golden-edge"}
 MAX_GRID = 100_001
+# Larger scans are not cached: 128 entries of up to 1,001 points hold 7.5 MB.
+_CACHED_GRID = 1_001
 
 
 @dataclass(frozen=True)
@@ -182,13 +187,24 @@ def _refine(p: ModelParams, d: SenderDist, searches: dict, where: dict) -> tuple
     raise ConvergenceError("refinement did not bracket a root of the slope")
 
 
+@lru_cache(maxsize=128)
+def _scan_side(d: SenderDist, q: float, n: int) -> tuple[np.ndarray, sp.DistSide]:
+    """The scan grid and its ``dist_side``, read-only: shared by equal (d, q, n)."""
+    grid = np.linspace(0.0, d.zbar, n)
+    side = sp.dist_side(d, q, grid)
+    for a in (grid, *side.moments, *side[1:]):
+        a.flags.writeable = False
+    return grid, side
+
+
 def optimize(
     p: ModelParams, d: SenderDist, opts: OptimizerOptions | None = None
 ) -> DelegationOutcome:
     """Solve the planner's problem: argmax of the net surplus over thresholds."""
     opts = opts or OptimizerOptions()
-    grid = np.linspace(0.0, d.zbar, opts.grid)
-    scan = sp.line_pass(p, d, grid, edge=slice(1, None))
+    scan_side = _scan_side if opts.grid <= _CACHED_GRID else _scan_side.__wrapped__
+    grid, side = scan_side(d, p.q, opts.grid)
+    scan = sp.line_pass(p, d, grid, edge=slice(1, None), side=side)
     for edge, diag in zip(scan.edge, scan.diag):
         edge[0] = diag[0]  # the corner (0, 0) lies on both lines
     # The search's bookkeeping runs on Python floats, not NumPy scalars.

@@ -18,6 +18,7 @@ Gauss hypergeometric function (DLMF 15.2) when z_l > 0.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -178,21 +179,23 @@ class SeparatingPath:
         s^(2-m) 2F1(b, g; b+1; w(s)) with b = -(2-m)/r has the derivative
         (2-m) s^(1-m) (1-w)^(-g), so it is the integrand's antiderivative up
         to the factor 2 beta / (B (2-m)). On z_l = 0, w = 0 and the wage is
-        the power law.
+        the power law. The domain check mu(s) <= zbar (1 + slack) compares
+        logs of mu^(2+q) = c1 s^(2-a) (1 - w(s)), floats that cannot overflow.
         """
         if s < self.s_l * (1.0 - _DOMAIN_SLACK) - _DOMAIN_SLACK:
             raise DomainError(f"tau undefined below s_l={self.s_l}")
-        if self.mu_tilde(s) > self.zbar * (1.0 + _DOMAIN_SLACK):
-            raise DomainError("tau undefined beyond sigma(zbar)")
         s = max(s, self.s_l)
         p = self.params
-        m = self._m
+        m, r = self._m, 2.0 + p.a + p.a * p.q
+        w_l = 1.0 - r / (2.0 * (2.0 + p.q))
+        log_1mw = math.log1p(-w_l * (self.s_l / s) ** r) if self.z_l else 0.0
+        if s > 0.0 and (math.log(self.c1) + (2.0 - p.a) * math.log(s) + log_1mw
+                        > (2.0 + p.q) * math.log(self.zbar * (1.0 + _DOMAIN_SLACK))):
+            raise DomainError("tau undefined beyond sigma(zbar)")
         scale = 2.0 * p.beta_cost / self._B
         if self.z_l == 0.0:
             return scale * s ** (2.0 - m) / (2.0 - m)
-        r = 2.0 + p.a + p.a * p.q
         b = (m - 2.0) / r
-        w_l = 1.0 - r / (2.0 * (2.0 + p.q))
 
         def antiderivative(y: float) -> float:
             w = w_l * (self.s_l / y) ** r

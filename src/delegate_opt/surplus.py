@@ -33,7 +33,8 @@ induces, and ``surplus_of`` prices its record (``surplus_from`` alone,
 when a ``line_pass`` already holds the pieces). So ``pi_w`` snaps as
 ``classify`` does: a pair within EFFECTIVE_ZERO of the diagonal is priced as
 pooling, and a z_h within EFFECTIVE_ZERO of zbar as separating. The breakdown
-carries the record's z_l and z_h.
+carries the record's z_l and z_h. A ``line_pass`` prices both lines from its
+points' ``dist_side``, the part that depends on (d, q, z) alone.
 """
 
 from __future__ import annotations
@@ -155,15 +156,26 @@ def pi_p(p: ModelParams, d: SenderDist, z_star: float) -> float:
 # NaN off the line's points; sep, sig and s_h are the edge's separating part,
 # sigma(z) and pooled action, and moments is d.tail_moments(z, p.q).
 LinePass = namedtuple("LinePass", "z moments sep sig s_h edge diag")
+# dist_side at points z: moments is d.tail_moments(z, q), dez the tail mean's
+# slope E' = g (E - z)/P(z >= z), z_q is z^q and top the top-guard mask.
+DistSide = namedtuple("DistSide", "moments dez z_q top")
+
+
+def dist_side(d: SenderDist, q: float, z: np.ndarray) -> DistSide:
+    """The part of a line pass at the points z that depends on (d, q, z) alone."""
+    moments = d.tail_moments(z, q)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        dez = d.pdf(z) * (moments[0] - z) / np.maximum(moments[3], _TINY)
+    return DistSide(moments, dez, z**q, z >= d.zbar - _TOP_GUARD)
 
 
 def line_pass(p: ModelParams, d: SenderDist, z: np.ndarray, edge: slice = slice(None),
-              diag: slice = slice(None)) -> LinePass:
+              diag: slice = slice(None), side: DistSide | None = None) -> LinePass:
     """The z_l = 0 edge at z[edge] (z > 0) and the pooling diagonal at z[diag]
     (z in [0, zbar]), values and slopes, in one batch.
 
-    Both lines share one ``tail_moments`` call, one ``pdf`` call and the tail
-    mean's slope E' = g (E - z)/P(z >= z); an empty slice skips its line.
+    Both lines share one distribution side ``side``, ``dist_side(d, p.q, z)``
+    unless given; an empty slice skips its line.
 
     Edge: the value is ``pi_w(p, d, 0, z).total``. In the slope
     K z^P g + dPool/dz, K z^P g cancels the pooled density the tail loses by
@@ -179,12 +191,10 @@ def line_pass(p: ModelParams, d: SenderDist, z: np.ndarray, edge: slice = slice(
     0 where the value is constant: below EFFECTIVE_ZERO and in the top guard.
     """
     z = np.asarray(z, dtype=float)
-    moments = d.tail_moments(z, p.q)
-    ez, m_q, m_inv, mass = moments
-    top, z_q = z >= d.zbar - _TOP_GUARD, z**p.q
+    side = dist_side(d, p.q, z) if side is None else side
+    (ez, m_q, m_inv, _), dez, z_q, top = side
     sep, e_sig, e_s, e_val, e_slope, d_val, d_slope = np.full((7, z.size), np.nan)
     with np.errstate(divide="ignore", invalid="ignore"):
-        dez = d.pdf(z) * (ez - z) / np.maximum(mass, _TINY)
         zs, e, w_q, w_inv = z[diag], ez[diag], m_q[diag], m_inv[diag]
         if zs.size:
             low, cap = zs < EFFECTIVE_ZERO, top[diag]
@@ -205,17 +215,17 @@ def line_pass(p: ModelParams, d: SenderDist, z: np.ndarray, edge: slice = slice(
         value[:], slope[:] = sep[edge], 0.0
         zs, e, w_q, w_inv, de = (a[edge][inner] for a in (z, ez, m_q, m_inv, dez))
         sig = path.sigma_many(zs)
-        s = thresholds.pooled_action_many(p, sig, zs, e)
+        s, rhs = thresholds._pooled_action_rhs(p, sig, zs, e)
         e_sig[edge][inner], e_s[edge][inner] = sig, s
         value[inner] += _pooled_net(p, s, e, w_q, w_inv)
         power = (2.0 + 2.0 * p.q + p.a) / (2.0 - p.a)
-        lead, rhs = p.A * p.k * s**p.a, thresholds._top_rhs(p, sig, zs)
+        lead = p.A * p.k * s**p.a
         x = lead * z_q[edge][inner] * e
         z_f_z = x * (p.q + 1.0 + zs * de / e) - (power + 1.0) * rhs
         # s dPool/ds, with beta s^2 = (X - rhs) z.
         s_d_pool = p.a * lead * e * w_q - 2.0 * (x - rhs) * zs * w_inv
         slope[inner] = lead * de * w_q - z_f_z * s_d_pool / (zs * ((p.a - 2.0) * x + 2.0 * rhs))
-    return LinePass(z, moments, sep, e_sig, e_s, (e_val, e_slope), (d_val, d_slope))
+    return LinePass(z, side.moments, sep, e_sig, e_s, (e_val, e_slope), (d_val, d_slope))
 
 
 def pi_s(p: ModelParams, d: SenderDist, z_l: float = 0.0) -> float:

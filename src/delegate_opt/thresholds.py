@@ -93,11 +93,6 @@ def invert_floor(p: ModelParams, d: SenderDist, t_l: float) -> float:
     return 0.0 if z_l < EFFECTIVE_ZERO else z_l
 
 
-def _top_rhs(p: ModelParams, sig, z_h):
-    """The top indifference equation's right side: net value of sigma(z_h)."""
-    return p.A * p.k * sig**p.a * z_h ** (1.0 + p.q) - p.beta_cost * sig**2 / z_h
-
-
 def _no_crossing(z_h) -> DegenerateTailError:
     return DegenerateTailError(
         f"top indifference residual not positive just above sigma(z_h) at "
@@ -119,13 +114,16 @@ def pooled_action(
     return solve_top(p, d, path, z_h)[0]
 
 
-def pooled_action_many(
-    p: ModelParams,
-    sig: float | np.ndarray,
-    z_h: float | np.ndarray,
-    ez: float | np.ndarray,
-) -> float | np.ndarray:
-    """``pooled_action`` at one or many z_h, given sigma(z_h) and E[z|z>=z_h].
+def pooled_action_many(p: ModelParams, sig: float | np.ndarray, z_h: float | np.ndarray,
+                       ez: float | np.ndarray) -> float | np.ndarray:
+    """``pooled_action`` at one or many z_h, given sigma(z_h) and E[z|z>=z_h];
+    ``_pooled_action_rhs`` solves it. A 0-d input gives a float."""
+    s = _pooled_action_rhs(p, sig, z_h, ez)[0]
+    return float(s) if np.ndim(s) == 0 else s
+
+
+def _pooled_action_rhs(p: ModelParams, sig, z_h, ez) -> tuple[np.ndarray, np.ndarray]:
+    """The pooled actions s and rhs, the net value of sigma(z_h), as arrays.
 
     Divided by s^a and written in u = s^(2-a) with e = a/(2-a), the residual
     c1 s^a - c2 s^2 - rhs becomes f(u) = c1 - c2 u - rhs u^(-e). Newton
@@ -139,7 +137,6 @@ def pooled_action_many(
     u within about 1e-14 relative (quadratic convergence). Every z_h must lie
     strictly inside (z_l, zbar - 1e-9). The residual at sigma(z_h) is exactly
     A k sigma^a z_h^q (ez - z_h); where that is not positive, no root exists.
-    A 0-d input gives a float.
     """
     z_h = np.asarray(z_h, dtype=float)
     crossing = ez > z_h
@@ -147,7 +144,7 @@ def pooled_action_many(
         raise _no_crossing(z_h[~crossing][0])
     c1 = p.A * p.k * z_h**p.q * ez
     c2 = p.beta_cost / z_h
-    rhs = _top_rhs(p, sig, z_h)
+    rhs = p.A * p.k * sig**p.a * z_h ** (1.0 + p.q) - p.beta_cost * sig**2 / z_h
     e = p.a / (2.0 - p.a)
     e_rhs = e * rhs
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
@@ -162,8 +159,7 @@ def pooled_action_many(
         du = (c1 - c2 * u - rhs * u_e) / (e_rhs * u_e / u - c2)
         u = u - du
         if (np.abs(du) <= 1e-7 * u).all():
-            s = u ** (1.0 / (2.0 - p.a))
-            return float(s) if np.ndim(s) == 0 else s
+            return u ** (1.0 / (2.0 - p.a)), rhs
     raise ConvergenceError("pooled-action Newton iteration did not converge")
 
 

@@ -13,8 +13,10 @@ from delegate_opt import surplus as sp
 from delegate_opt.cli import main
 from delegate_opt.errors import ConfigError, ConvergenceError
 from delegate_opt.distributions import EFFECTIVE_ZERO
-from delegate_opt.harness import load_golden, run_config
-from delegate_opt.optimizer import MAX_GRID, OptimizerOptions, _hermite, _iqi, _root_search
+from delegate_opt.harness import load_golden, run_config, run_design
+from delegate_opt.optimizer import (
+    MAX_GRID, OptimizerOptions, _hermite, _iqi, _root_search, _scan_side,
+)
 from delegate_opt.surplus import sep_part
 from delegate_opt import thresholds
 from delegate_opt.thresholds import POOLING, STRICTLY_WELL_BEHAVED, resolve
@@ -278,8 +280,10 @@ def test_refinement_call_budget(monkeypatch):
     # Lockstep root search: a few line passes per design row, counted (not
     # timed) over all 311 design rows. The first pass is the scan; each later
     # one is a round of both lines' root searches, and the Hermite seed leaves
-    # at most two. Each pass makes the row's only tail_moments calls: the
-    # returned record is priced from a pass.
+    # at most two. The passes make the row's only tail_moments calls (the
+    # returned record is priced from a pass), but the scan takes its
+    # distribution side from the cache once an equal (d, q, grid) has run:
+    # one call per pass cold, one fewer warm.
     calls = Counter()
     for owner, name in ((sp, "line_pass"), (SenderDist, "tail_moments")):
         def counted(*args, inner=getattr(owner, name), name=name, **kwargs):
@@ -289,12 +293,15 @@ def test_refinement_call_budget(monkeypatch):
         monkeypatch.setattr(owner, name, counted)
     evals = []
     for g in load_golden():
-        calls.clear()
         d = SenderDist(g.alpha, g.beta_shape, g.zbar)
-        out = optimize(ModelParams(a=g.a, k=g.k, q=g.q), d)
+        for warm in (False, True):
+            if not warm:
+                _scan_side.cache_clear()
+            calls.clear()
+            out = optimize(ModelParams(a=g.a, k=g.k, q=g.q), d)
+            assert 2 <= calls["line_pass"] <= 3, g.key()
+            assert calls["tail_moments"] == calls["line_pass"] - warm, g.key()
         evals.append(out.diagnostics["refine_evals"])
-        assert 2 <= calls["line_pass"] <= 3, g.key()
-        assert calls["tail_moments"] == calls["line_pass"], g.key()
     assert len(evals) == 311
     assert np.mean(evals) <= 6.0
 
@@ -533,3 +540,41 @@ def test_record_from_the_pass_is_the_resolved_record(monkeypatch):
             assert abs(got - ref) <= 1e-14 * abs(ref), (p, d, name)
         assert resolved == ([] if rec.eq_class == STRICTLY_WELL_BEHAVED else [rec]), (p, d)
     assert classes[STRICTLY_WELL_BEHAVED] > 300 and classes[POOLING] >= 31
+
+
+def test_cold_and_warm_scans_give_equal_outcomes():
+    # The scan's distribution side comes from the cache on a repeated
+    # (d, q, grid); every field of the outcome is what a cold cache gives, on
+    # all design rows and 20 endpoint-singular box draws.
+    for p, d in _rows_and_draws()[:331]:  # the first 20 draws
+        _scan_side.cache_clear()
+        cold, warm = optimize(p, d), optimize(p, d)
+        assert _scan_side.cache_info()[:2] == (1, 1), (p, d)
+        for name in ("thresholds", "interval", "surplus", "pi_s", "percentile_zh", "diagnostics"):
+            assert getattr(cold, name) == getattr(warm, name), (p, d, name)
+
+
+def test_scan_side_is_read_only_and_keyed_by_value(baseline):
+    _scan_side.cache_clear()
+    optimize(baseline, SenderDist(1, 1, 3))
+    optimize(baseline, SenderDist(1.0, 1.0, 3.0))
+    assert _scan_side.cache_info()[:2] == (1, 1)
+    grid, side = _scan_side(SenderDist(1, 1, 3), baseline.q, 61)
+    for a in (grid, *side.moments, *side[1:]):
+        with pytest.raises(ValueError):
+            a[0] = 0.0
+
+
+def test_scan_cache_holds_the_design_sweeps_distinct_keys():
+    # The five design sweeps hold 311 rows but 84 distinct (d, q, grid).
+    _scan_side.cache_clear()
+    rows = [row for design in range(1, 6) for row in run_design(design)]
+    assert len(rows) == 311
+    assert _scan_side.cache_info().misses == 84
+
+
+@pytest.mark.parametrize("grid, entries", [(1_001, 1), (1_002, 0)])
+def test_scan_cache_skips_grids_above_its_bound(baseline, uniform3, grid, entries):
+    _scan_side.cache_clear()
+    optimize(baseline, uniform3, OptimizerOptions(grid=grid))
+    assert _scan_side.cache_info().currsize == entries

@@ -243,6 +243,19 @@ class TestWage:
         with pytest.raises(DomainError):
             path.tau_tilde(path.sigma_tilde(3.0) * 1.01)
 
+    @pytest.mark.parametrize("z_l", [0.0, 0.4, 1.7])
+    @pytest.mark.parametrize("p", [ModelParams(), ModelParams(a=0.9, q=2.0, k=2.5),
+                                   ModelParams(a=0.0, q=0.0)])
+    def test_domain_boundary_at_the_top(self, p, z_l):
+        # tau is defined up to mu(s) = zbar (1 + 1e-9): an action a part in
+        # 1e12 below that edge passes, and one a part in 1e12 above raises.
+        zbar, edge = 3.0, 3.0 * (1.0 + 1e-9)
+        s_edge = SeparatingPath(p, z_l, 2.0 * zbar).sigma_tilde(edge)
+        path = SeparatingPath(p, z_l, zbar)
+        assert path.tau_tilde(s_edge * (1.0 - 1e-12)) > path.t_l
+        with pytest.raises(DomainError):
+            path.tau_tilde(s_edge * (1.0 + 1e-12))
+
 
 class TestRents:
     def test_sender_rent_nondecreasing_and_floor(self, baseline):
