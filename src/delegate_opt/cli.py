@@ -28,7 +28,7 @@ from .thresholds import invert_cap, invert_floor
 
 _CONFIG_KEYS = {"A", "beta", "a", "k", "q", "dist", "optimizer"}
 _DIST_KEYS = {"alpha", "beta", "zbar"}
-_OPT_KEYS = {"grid", "tol", "refine"}
+_OPT_KEYS = {"grid", "tol"}
 
 
 def load_config(path: str | None) -> tuple[ModelParams, SenderDist, OptimizerOptions]:
@@ -65,7 +65,6 @@ def load_config(path: str | None) -> tuple[ModelParams, SenderDist, OptimizerOpt
         opts = OptimizerOptions(
             grid=int(opt_raw.get("grid", 61)),
             tol=float(opt_raw.get("tol", 1e-6)),
-            refine=str(opt_raw.get("refine", "auto")),
         )
     except (TypeError, ValueError) as exc:
         raise ConfigError(f"bad config value: {exc}") from exc

@@ -76,7 +76,7 @@ class SenderDist:
     def pdf(self, z: float | np.ndarray) -> float | np.ndarray:
         """Density of the scaled Beta; 0 on the boundary where the exponent allows."""
         z_arr = np.asarray(z, dtype=float)
-        if ((z_arr < -_SUPPORT_TOL) | (z_arr > self.zbar + _SUPPORT_TOL)).any():
+        if not ((z_arr >= -_SUPPORT_TOL) & (z_arr <= self.zbar + _SUPPORT_TOL)).all():
             raise DomainError(f"pdf argument outside [0, {self.zbar}]")
         u = np.minimum(np.maximum(z_arr / self.zbar, 0.0), 1.0)
         ln_b = _ln_beta(self.alpha, self.beta_shape)
@@ -98,6 +98,8 @@ class SenderDist:
 
     def cdf(self, z: float) -> float:
         """P(Z <= z); z is clamped to the support, outside which SciPy gives NaN."""
+        if math.isnan(z):
+            raise DomainError("cdf argument is NaN")
         x = min(max(z / self.zbar, 0.0), 1.0)
         return float(betainc(self.alpha, self.beta_shape, x))
 
@@ -122,15 +124,18 @@ class SenderDist:
         """Upper partial moment int_c^zbar z^p g(z) dz."""
         if not -_SUPPORT_TOL <= c <= self.zbar + _SUPPORT_TOL:
             raise DomainError(f"lower limit {c} outside [0, {self.zbar}]")
-        if p < -1.0:
-            raise DomainError(f"exponent {p} below -1 is not integrable here")
+        if not -1.0 <= p < math.inf:
+            raise DomainError(f"exponent {p} must be finite and at least -1")
         a, b = self.alpha, self.beta_shape
         if (p == -1.0 or a + p <= 0.0) and c < EFFECTIVE_ZERO:
             raise DomainError("1/z integrand needs a lower limit >= EFFECTIVE_ZERO")
         y = (self.zbar - c) / self.zbar
         if y <= 0.0:
             return 0.0
-        return float(self._upper(p, min(y, 1.0)))
+        try:
+            return float(self._upper(p, min(y, 1.0)))
+        except OverflowError as exc:
+            raise DomainError(f"moment of order {p} overflows a float") from exc
 
     def _gap(self, y):
         """zbar - E[z|z>=c] and P(z >= c) from y = (zbar - c)/zbar, scalar or array.

@@ -321,24 +321,19 @@ def load_golden(path: Path | None = None) -> list[GoldenRow]:
     return out
 
 
-def compare_golden(
-    rows: list[DesignRow],
-    golden: list[GoldenRow],
-    tolerances: dict[int, GoldenTolerances] | None = None,
-) -> GoldenReport:
+def compare_golden(rows: list[DesignRow], golden: list[GoldenRow]) -> GoldenReport:
     """Cell-by-cell deviations of computed rows against the golden table.
 
     z_h, x_h, s_h, and the parameter column xbar are enforced; t_h is
     reported per row but only the cross-validated cell fails the run.
     """
-    tolerances = tolerances or DESIGN_TOLERANCES
     by_key = {g.key(): g for g in golden}
     cells: list[CellDeviation] = []
     for r in rows:
         g = by_key.get(r.key())
         if g is None:
             raise ConfigError(f"no golden row for {r.key()}")
-        tol = tolerances[r.design]
+        tol = DESIGN_TOLERANCES[r.design]
         s_h_tol = max(tol.s_h, tol.s_h_rel * abs(g.s_h))
         cells.append(CellDeviation(r.key(), "z_h", r.z_h, g.z_h, tol.z_h, True))
         cells.append(CellDeviation(r.key(), "x_h", r.x_h, g.x_h, tol.x_h, True))

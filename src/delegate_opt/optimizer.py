@@ -5,7 +5,7 @@ or on the pooling diagonal Pi_p(z). One array pass (``surplus.line_pass``)
 gives both lines' values and closed-form slopes. Stage one scans both on a
 grid, 2n - 1 cells in all, in one pass, whose distribution side (tail moments
 and density, ``surplus.dist_side``) depends on (d, q, n) alone and comes from
-a cache of 128 such keys for n <= 1,001. Stage two solves for a root of each
+a cache of 128 such keys. Stage two solves for a root of each
 line's slope in the grid cells around its best cell, both lines in lockstep,
 one pass per round, from the root of the quintic Hermite fit of those cells'
 values and slopes; a root replaces the current optimum whenever its value is
@@ -32,17 +32,15 @@ from .separating import SeparatingPath
 _TIE_TOL = 1e-9
 _FLAT_TOL = 1e-10
 _CERT_TOL = 1e-8
-_METHOD = {"diag": "golden-diagonal", "edge": "golden-edge"}
-MAX_GRID = 100_001
-# Larger scans are not cached: 128 entries of up to 1,001 points hold 7.5 MB.
-_CACHED_GRID = 1_001
+_LINES = ("diag", "edge")
+# The scan cache's 128 entries of up to MAX_GRID points hold at most 7.5 MB.
+MAX_GRID = 1_001
 
 
 @dataclass(frozen=True)
 class OptimizerOptions:
     grid: int = 61  # scan points per line, an integer in [3, MAX_GRID]
     tol: float = 1e-6
-    refine: str = "auto"  # auto | none
 
     def __post_init__(self) -> None:
         # A bool is an int, but below 3.
@@ -50,8 +48,6 @@ class OptimizerOptions:
             raise ConfigError(f"grid must be an integer in [3, {MAX_GRID}], got {self.grid!r}")
         if not (math.isfinite(self.tol) and self.tol > 0):
             raise ConfigError(f"tolerance must be finite and positive, got {self.tol}")
-        if self.refine not in ("auto", "none"):
-            raise ConfigError(f"unknown refine method {self.refine!r}")
 
 
 @dataclass(frozen=True)
@@ -167,7 +163,7 @@ def _refine(p: ModelParams, d: SenderDist, searches: dict, where: dict) -> tuple
     index of each (line, point). Returns the results and the points used."""
     results, replies, n_evals = {}, dict.fromkeys(searches), 0
     for _ in range(100):
-        spans, points = dict.fromkeys(_METHOD, slice(0)), []
+        spans, points = dict.fromkeys(_LINES, slice(0)), []
         for line, search in searches.items():
             if line not in results:
                 try:
@@ -202,41 +198,36 @@ def optimize(
 ) -> DelegationOutcome:
     """Solve the planner's problem: argmax of the net surplus over thresholds."""
     opts = opts or OptimizerOptions()
-    scan_side = _scan_side if opts.grid <= _CACHED_GRID else _scan_side.__wrapped__
-    grid, side = scan_side(d, p.q, opts.grid)
+    grid, side = _scan_side(d, p.q, opts.grid)
     scan = sp.line_pass(p, d, grid, edge=slice(1, None), side=side)
     for edge, diag in zip(scan.edge, scan.diag):
         edge[0] = diag[0]  # the corner (0, 0) lies on both lines
     # The search's bookkeeping runs on Python floats, not NumPy scalars.
     zs = grid.tolist()
-    lines = {name: tuple(f.tolist() for f in getattr(scan, name)) for name in _METHOD}
+    lines = {name: tuple(f.tolist() for f in getattr(scan, name)) for name in _LINES}
     gi, gj, g_val, tie_break, flat = _best(lines["edge"][0], lines["diag"][0])
     line = "diag" if gi == gj else "edge"
     z_h, val, at = zs[gj], g_val, (scan, gj)
     slope = lines[line][1][gj]
-    method, refine_evals = "none", 0
-    if opts.refine != "none":
-        searches, where = {}, {}
-        for name in sorted(_METHOD, key=lambda name: name != line):
-            values, slopes = lines[name]
-            # The line's best cell, past the corner on the edge: the larger z on ties.
-            first = int(name == "edge")
-            top = max(values[first:])
-            c = next(i for i in range(opts.grid - 1, -1, -1) if values[i] >= top - _TIE_TOL)
-            k = (max(c - 1, 0), c, min(c + 1, opts.grid - 1))
-            z = [min(max(zs[i], EFFECTIVE_ZERO), d.zbar - EFFECTIVE_ZERO) for i in k]
-            s_k = [slopes[i] if z_i == zs[i] else math.nan for i, z_i in zip(k, z)]
-            searches[name] = _root_search(z, [values[i] for i in k], s_k, opts.tol)
-            where.update(((name, zs[i]), (scan, i)) for i in k)
-        method = _METHOD[line]
-        results, refine_evals = _refine(p, d, searches, where)
-        # The tie tolerance guards only points that are not roots, such as
-        # the exact pooling corner against the line's end EFFECTIVE_ZERO away.
-        for name in searches:
-            z, v, s, root = results[name]
-            if v > val + (0.0 if root else _TIE_TOL):
-                line, z_h, val, slope, method = name, z, v, s, _METHOD[name]
-                at = where[name, z]
+    searches, where = {}, {}
+    for name in sorted(_LINES, key=lambda name: name != line):
+        values, slopes = lines[name]
+        # The line's best cell, past the corner on the edge: the larger z on ties.
+        first = int(name == "edge")
+        top = max(values[first:])
+        c = next(i for i in range(opts.grid - 1, -1, -1) if values[i] >= top - _TIE_TOL)
+        k = (max(c - 1, 0), c, min(c + 1, opts.grid - 1))
+        z = [min(max(zs[i], EFFECTIVE_ZERO), d.zbar - EFFECTIVE_ZERO) for i in k]
+        s_k = [slopes[i] if z_i == zs[i] else math.nan for i, z_i in zip(k, z)]
+        searches[name] = _root_search(z, [values[i] for i in k], s_k, opts.tol)
+        where.update(((name, zs[i]), (scan, i)) for i in k)
+    results, refine_evals = _refine(p, d, searches, where)
+    # The tie tolerance guards only points that are not roots, such as
+    # the exact pooling corner against the line's end EFFECTIVE_ZERO away.
+    for name in searches:
+        z, v, s, root = results[name]
+        if v > val + (0.0 if root else _TIE_TOL):
+            line, z_h, val, slope, at = name, z, v, s, where[name, z]
     z_l, (lp, i) = z_h if line == "diag" else 0.0, at
     if th.classify(z_l, z_h, d.zbar) == th.STRICTLY_WELL_BEHAVED:
         # An edge point (z_l = 0): the pass that evaluated it solved its top system.
@@ -252,7 +243,7 @@ def optimize(
     diagnostics = {
         "grid": opts.grid,
         "grid_best": {"z_l": zs[gi], "z_h": zs[gj], "value": g_val},
-        "refine_method": method,
+        "refine_method": line,
         "refine_evals": refine_evals,
         "n_grid_evals": 2 * opts.grid - 1,
         "tie_break_applied": tie_break,

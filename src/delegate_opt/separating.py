@@ -36,13 +36,14 @@ def s_lower(p: ModelParams, z_l: float) -> float:
     """Entry action of the lowest matched type: (A k z_l^(q+2) / beta)^(1/(2-a)).
 
     The bottom match earns no information rent, so the entry action solves
-    v(n(z_l), s, z_l) - c(s, z_l) = 0; z_l = 0 is normalized to s = 0.
+    v(n(z_l), s, z_l) - c(s, z_l) = 0, which gives s = 0 at z_l = 0.
     """
-    if z_l < 0:
-        raise DomainError(f"z_l={z_l} negative")
-    if z_l == 0.0:
-        return 0.0
-    return (p.A * p.k * z_l ** (p.q + 2.0) / p.beta_cost) ** (1.0 / (2.0 - p.a))
+    if not 0.0 <= z_l < math.inf:
+        raise DomainError(f"z_l={z_l} must be finite and nonnegative")
+    try:
+        return (p.A * p.k * z_l ** (p.q + 2.0) / p.beta_cost) ** (1.0 / (2.0 - p.a))
+    except OverflowError as exc:
+        raise DomainError(f"entry action of z_l={z_l} overflows a float") from exc
 
 
 @dataclass(frozen=True)
@@ -113,7 +114,7 @@ class SeparatingPath:
     def mu_tilde(self, s):
         """Market belief mu(s) about the sender type choosing action s."""
         s_arr = np.asarray(s, dtype=float)
-        if (s_arr < self.s_l * (1.0 - _DOMAIN_SLACK) - _DOMAIN_SLACK).any():
+        if not (s_arr >= self.s_l * (1.0 - _DOMAIN_SLACK) - _DOMAIN_SLACK).all():
             raise DomainError(f"mu undefined below the entry action s_l={self.s_l}")
         s_arr = np.maximum(s_arr, self.s_l)
         q2 = 2.0 + self.params.q
@@ -126,7 +127,7 @@ class SeparatingPath:
     def mu_prime(self, s):
         """d mu / d s, analytic from the closed form (s > s_l or z_l > 0)."""
         s_arr = np.asarray(s, dtype=float)
-        if np.any(s_arr <= 0.0):
+        if not (s_arr > 0.0).all():
             raise DomainError("mu_prime needs s > 0")
         q2 = 2.0 + self.params.q
         out = self._poly_prime(s_arr) / (q2 * np.power(self._poly(s_arr), (q2 - 1.0) / q2))
@@ -150,7 +151,7 @@ class SeparatingPath:
         needed. h is linear when a = 0.
         """
         z = np.asarray(z, dtype=float)
-        if ((z < self.z_l - _DOMAIN_SLACK) | (z > self.zbar * (1.0 + _DOMAIN_SLACK))).any():
+        if not ((z >= self.z_l - _DOMAIN_SLACK) & (z <= self.zbar * (1.0 + _DOMAIN_SLACK))).all():
             raise DomainError(f"sigma defined on [z_l={self.z_l}, zbar={self.zbar}] only")
         z = np.minimum(np.maximum(z, self.z_l), self.zbar)
         p = self.params
@@ -182,8 +183,8 @@ class SeparatingPath:
         the power law. The domain check mu(s) <= zbar (1 + slack) compares
         logs of mu^(2+q) = c1 s^(2-a) (1 - w(s)), floats that cannot overflow.
         """
-        if s < self.s_l * (1.0 - _DOMAIN_SLACK) - _DOMAIN_SLACK:
-            raise DomainError(f"tau undefined below s_l={self.s_l}")
+        if not s >= self.s_l * (1.0 - _DOMAIN_SLACK) - _DOMAIN_SLACK:
+            raise DomainError(f"tau needs s >= s_l={self.s_l}, got {s}")
         s = max(s, self.s_l)
         p = self.params
         m, r = self._m, 2.0 + p.a + p.a * p.q

@@ -228,9 +228,9 @@ def line_pass(p: ModelParams, d: SenderDist, z: np.ndarray, edge: slice = slice(
     return LinePass(z, side.moments, sep, e_sig, e_s, (e_val, e_slope), (d_val, d_slope))
 
 
-def pi_s(p: ModelParams, d: SenderDist, z_l: float = 0.0) -> float:
+def pi_s(p: ModelParams, d: SenderDist) -> float:
     """Net surplus of the separating equilibrium (full delegation)."""
-    return pi_w(p, d, z_l, d.zbar).total
+    return pi_w(p, d, 0.0, d.zbar).total
 
 
 def well_behaved_gain(

@@ -9,6 +9,8 @@ import subprocess
 import sys
 from pathlib import Path
 
+import pytest
+
 import delegate_opt
 
 TRACING = Path(__file__).resolve().parents[1] / "perfbench" / "tracing.py"
@@ -26,6 +28,20 @@ def test_every_traced_layer_resolves():
             assert meth in vars(getattr(module, cls_name)), name
         else:
             assert callable(getattr(module, attr, None)), name
+
+
+@pytest.mark.parametrize("grid", [3, 61])
+def test_optimize_diagnostics_hold_what_the_benchmark_reads(grid):
+    # The tracer sums n_grid_evals and refine_evals, and design-rows checks
+    # the certificate against -1e-8.
+    out = delegate_opt.optimize(
+        delegate_opt.ModelParams(), delegate_opt.SenderDist(1, 1, 3),
+        delegate_opt.OptimizerOptions(grid=grid),
+    )
+    diagnostics = out.diagnostics
+    assert diagnostics["n_grid_evals"] == 2 * grid - 1
+    assert type(diagnostics["refine_evals"]) is int
+    assert diagnostics["certificate"] >= -1e-8
 
 
 def test_import_loads_no_optimize_or_integrate():

@@ -21,6 +21,21 @@ class TestConfig:
         assert run_cli("optimize", "--config", str(cfg)) == 1
         assert "config error" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "optimizer, message",
+        [({"refine": "auto"}, "unknown optimizer keys: ['refine']"),
+         ({"grid": 1002}, "grid must be an integer in [3, 1001]")],
+    )
+    def test_removed_optimizer_settings_are_config_errors(
+        self, tmp_path, capsys, optimizer, message
+    ):
+        # The optimizer has no refine switch, and no grid past the scan
+        # cache's bound; the grid is rejected before any scan runs.
+        cfg = tmp_path / "bad.json"
+        cfg.write_text(json.dumps({"optimizer": optimizer}))
+        assert run_cli("optimize", "--config", str(cfg)) == 1
+        assert message in capsys.readouterr().err
+
     def test_missing_file_is_config_error(self):
         assert run_cli("optimize", "--config", "/nonexistent.json") == 1
 

@@ -5,7 +5,7 @@ import pytest
 from scipy.integrate import solve_ivp
 from scipy.optimize import brentq
 
-from delegate_opt import ModelParams, SeparatingPath, model, s_lower
+from delegate_opt import ModelParams, SenderDist, SeparatingPath, model, s_lower
 from delegate_opt.errors import DomainError
 from delegate_opt.quadrature import integrate
 
@@ -276,3 +276,39 @@ class TestRents:
         rents = [path.receiver_rent(float(z)) for z in zs]
         assert all(r >= -1e-12 for r in rents)
         assert all(b >= a - 1e-9 for a, b in zip(rents, rents[1:]))
+
+
+_P, _D = ModelParams(), SenderDist(1, 1, 3)
+_PATH0, _PATH1 = SeparatingPath(_P, 0.0, 3.0), SeparatingPath(_P, 0.5, 3.0)
+
+
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda: _D.cdf(np.nan),
+        lambda: _D.pdf(np.nan),
+        lambda: _D.pdf(np.array([1.0, np.nan])),
+        lambda: _D.partial_moment(1.0, np.nan),
+        lambda: _D.partial_moment(1.0, np.inf),
+        lambda: _D.partial_moment(1.0, 1e300),
+        lambda: _PATH0.sigma_tilde(np.nan),
+        lambda: _PATH1.sigma_many(np.array([1.0, np.nan])),
+        lambda: _PATH0.tau_tilde(np.nan),
+        lambda: _PATH1.tau_tilde(np.nan),
+        lambda: _PATH0.mu_tilde(np.nan),
+        lambda: _PATH1.mu_tilde(np.nan),
+        lambda: _PATH1.mu_prime(np.nan),
+        lambda: s_lower(_P, np.nan),
+        lambda: s_lower(_P, np.inf),
+        lambda: s_lower(_P, 1e300),
+    ],
+    ids=["cdf-nan", "pdf-nan", "pdf-array-nan", "moment-order-nan",
+         "moment-order-inf", "moment-overflow", "sigma-nan", "sigma-many-nan",
+         "tau-nan", "tau-nan-z_l", "mu-nan", "mu-nan-z_l", "mu_prime-nan",
+         "s_lower-nan", "s_lower-inf", "s_lower-overflow"],
+)
+def test_nan_and_overflow_are_domain_errors(call):
+    # Each of these returned NaN, inf or (the density) 0, or raised a generic
+    # OverflowError: a bound check written as x < lo or x > hi lets NaN pass.
+    with pytest.raises(DomainError):
+        call()
