@@ -16,7 +16,7 @@ from .errors import (
     InconsistencyError,
 )
 from .model import ModelParams
-from .optimizer import DelegationOutcome, OptimizerOptions, optimize
+from .optimizer import DelegationOutcome, optimize
 from .separating import SeparatingPath, s_lower
 from .surplus import SurplusBreakdown, pi_p, pi_s, pi_w, well_behaved_gain
 from .thresholds import (
@@ -47,7 +47,6 @@ __all__ = [
     "pi_p",
     "pi_s",
     "well_behaved_gain",
-    "OptimizerOptions",
     "DelegationOutcome",
     "optimize",
     "ConfigError",

@@ -22,16 +22,15 @@ from . import harness
 from .distributions import SenderDist
 from .errors import ConfigError, DelegateOptError
 from .model import ModelParams
-from .optimizer import OptimizerOptions, optimize
+from .optimizer import optimize
 from .separating import SeparatingPath
 from .thresholds import invert_cap, invert_floor
 
-_CONFIG_KEYS = {"A", "beta", "a", "k", "q", "dist", "optimizer"}
+_CONFIG_KEYS = {"A", "beta", "a", "k", "q", "dist"}
 _DIST_KEYS = {"alpha", "beta", "zbar"}
-_OPT_KEYS = {"grid", "tol"}
 
 
-def load_config(path: str | None) -> tuple[ModelParams, SenderDist, OptimizerOptions]:
+def load_config(path: str | None) -> tuple[ModelParams, SenderDist]:
     raw = {}
     if path is not None:
         try:
@@ -44,11 +43,10 @@ def load_config(path: str | None) -> tuple[ModelParams, SenderDist, OptimizerOpt
     if unknown:
         raise ConfigError(f"unknown config keys: {sorted(unknown)}")
     dist_raw = raw.get("dist", {})
-    opt_raw = raw.get("optimizer", {})
+    if not isinstance(dist_raw, dict):
+        raise ConfigError(f"dist must be a JSON object, got {dist_raw!r}")
     if set(dist_raw) - _DIST_KEYS:
         raise ConfigError(f"unknown dist keys: {sorted(set(dist_raw) - _DIST_KEYS)}")
-    if set(opt_raw) - _OPT_KEYS:
-        raise ConfigError(f"unknown optimizer keys: {sorted(set(opt_raw) - _OPT_KEYS)}")
     try:
         p = ModelParams(
             A=float(raw.get("A", 1.0)),
@@ -62,13 +60,9 @@ def load_config(path: str | None) -> tuple[ModelParams, SenderDist, OptimizerOpt
             beta_shape=float(dist_raw.get("beta", 1.0)),
             zbar=float(dist_raw.get("zbar", 3.0)),
         )
-        opts = OptimizerOptions(
-            grid=int(opt_raw.get("grid", 61)),
-            tol=float(opt_raw.get("tol", 1e-6)),
-        )
     except (TypeError, ValueError) as exc:
         raise ConfigError(f"bad config value: {exc}") from exc
-    return p, d, opts
+    return p, d
 
 
 def _parse_shape(text: str) -> tuple[float, float]:
@@ -91,7 +85,7 @@ def _dump_json(payload: dict, out: str | None) -> None:
 
 
 def _cmd_solve(args) -> int:
-    p, d, _ = load_config(args.config)
+    p, d = load_config(args.config)
     if not math.isfinite(args.t_low) or math.isnan(args.t_high):
         raise ConfigError(f"need a finite --t-low and a --t-high, got {args.t_low}, {args.t_high}")
     if args.t_high < args.t_low:
@@ -104,8 +98,8 @@ def _cmd_solve(args) -> int:
 
 
 def _cmd_optimize(args) -> int:
-    p, d, opts = load_config(args.config)
-    out = optimize(p, d, opts)
+    p, d = load_config(args.config)
+    out = optimize(p, d)
     payload = {
         "thresholds": dataclasses.asdict(out.thresholds),
         "interval": list(out.interval),
@@ -118,9 +112,9 @@ def _cmd_optimize(args) -> int:
 
 
 def _run_rows(args, design: int) -> list[harness.DesignRow]:
-    p, _, opts = load_config(args.config)
+    p, _ = load_config(args.config)
     shape = _parse_shape(args.dist) if args.dist else None
-    return harness.run_design(design, shape=shape, opts=opts, base_params=p)
+    return harness.run_design(design, shape=shape, base_params=p)
 
 
 def _cmd_design(args) -> int:
@@ -165,7 +159,7 @@ def _cmd_paths(args) -> int:
 
 
 def _cmd_diagnose(args) -> int:
-    p, d, _ = load_config(args.config)
+    p, d = load_config(args.config)
     if args.grid < 1:
         raise ConfigError(f"--grid must be at least 1, got {args.grid}")
     if not 0.0 <= args.z_low < d.zbar:

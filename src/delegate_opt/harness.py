@@ -25,7 +25,7 @@ from pathlib import Path
 from .distributions import SenderDist
 from .errors import ConfigError, DelegateOptError
 from .model import ModelParams
-from .optimizer import DelegationOutcome, OptimizerOptions, optimize
+from .optimizer import DelegationOutcome, optimize
 
 SHAPES = ((1, 1), (5, 5), (3, 5), (5, 3))
 DESIGN5_SHAPES = ((3, 5), (5, 5), (5, 3))
@@ -95,11 +95,9 @@ def _design_configs(design: int, shape: tuple[int, int]):
     raise ConfigError(f"unknown design {design}")
 
 
-def run_config(
-    p: ModelParams, d: SenderDist, design: int, opts: OptimizerOptions | None = None
-) -> DesignRow:
+def run_config(p: ModelParams, d: SenderDist, design: int) -> DesignRow:
     """One optimization, flattened into the output-table schema."""
-    out: DelegationOutcome = optimize(p, d, opts)
+    out: DelegationOutcome = optimize(p, d)
     rec = out.thresholds
     return DesignRow(
         design=design, alpha=d.alpha, beta_shape=d.beta_shape, q=p.q, k=p.k,
@@ -113,7 +111,6 @@ def run_config(
 def run_design(
     design: int,
     shape: tuple[int, int] | None = None,
-    opts: OptimizerOptions | None = None,
     base_params: ModelParams | None = None,
 ) -> list[DesignRow]:
     """All rows of one design table (design 5 ignores the shape argument)."""
@@ -131,7 +128,7 @@ def run_design(
                             a=cfg["a"], k=cfg["k"], q=cfg["q"])
             d = SenderDist(cfg["alpha"], cfg["beta_shape"], cfg["zbar"])
             try:
-                rows.append(run_config(p, d, design, opts))
+                rows.append(run_config(p, d, design))
             except DelegateOptError as exc:
                 raise type(exc)(f"{exc} [design {design}, row {cfg}]") from exc
     return rows

@@ -40,9 +40,9 @@ class ModelParams:
 
 def _pow(base, exponent):
     # np.power returns 1.0 for 0**0, which is the convention the pure-signaling
-    # case a = 0 needs; guard against negative bases instead.
-    if (np.asarray(base) < 0).any():
-        raise DomainError("negative base in power law")
+    # case a = 0 needs; guard against negative (and NaN) bases instead.
+    if not (np.asarray(base) >= 0).all():
+        raise DomainError("negative or NaN base in power law")
     return np.power(base, exponent)
 
 
@@ -55,8 +55,9 @@ def cost_c(p: ModelParams, s, z):
     """Signaling cost beta s^2 / z; 0 whenever s = 0."""
     s_arr = np.asarray(s, dtype=float)
     z_arr = np.asarray(z, dtype=float)
-    if ((z_arr < EFFECTIVE_ZERO) & (s_arr > 0)).any():
-        raise DomainError("cost singular: s > 0 with z below the effective zero")
+    # Holds where z >= EFFECTIVE_ZERO or s <= 0, and fails on a NaN in either.
+    if not (np.maximum(z_arr - EFFECTIVE_ZERO, -s_arr) >= 0.0).all():
+        raise DomainError("cost singular: s > 0 with z below the effective zero, or NaN")
     # Past the check, z < EFFECTIVE_ZERO only with s = 0, where the cost is 0.
     out = p.beta_cost * s_arr**2 / np.maximum(z_arr, EFFECTIVE_ZERO)
     return float(out) if np.ndim(out) == 0 else out

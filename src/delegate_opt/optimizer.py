@@ -3,9 +3,9 @@
 The optimum of {0 <= z_l <= z_h <= zbar} lies on the z_l = 0 edge Pi_w(0, z_h)
 or on the pooling diagonal Pi_p(z). One array pass (``surplus.line_pass``)
 gives both lines' values and closed-form slopes. Stage one scans both on a
-grid, 2n - 1 cells in all, in one pass, whose distribution side (tail moments
-and density, ``surplus.dist_side``) depends on (d, q, n) alone and comes from
-a cache of 128 such keys. Stage two solves for a root of each
+61-point grid, 121 cells in all, in one pass, whose distribution side (tail
+moments and density, ``surplus.dist_side``) depends on (d, q) alone and comes
+from a cache of 128 such keys. Stage two solves for a root of each
 line's slope in the grid cells around its best cell, both lines in lockstep,
 one pass per round, from the root of the quintic Hermite fit of those cells'
 values and slopes; a root replaces the current optimum whenever its value is
@@ -25,7 +25,7 @@ import numpy as np
 from . import surplus as sp
 from . import thresholds as th
 from .distributions import EFFECTIVE_ZERO, SenderDist
-from .errors import ConfigError, ConvergenceError
+from .errors import ConvergenceError
 from .model import ModelParams
 from .separating import SeparatingPath
 
@@ -33,21 +33,8 @@ _TIE_TOL = 1e-9
 _FLAT_TOL = 1e-10
 _CERT_TOL = 1e-8
 _LINES = ("diag", "edge")
-# The scan cache's 128 entries of up to MAX_GRID points hold at most 7.5 MB.
-MAX_GRID = 1_001
-
-
-@dataclass(frozen=True)
-class OptimizerOptions:
-    grid: int = 61  # scan points per line, an integer in [3, MAX_GRID]
-    tol: float = 1e-6
-
-    def __post_init__(self) -> None:
-        # A bool is an int, but below 3.
-        if not (isinstance(self.grid, (int, np.integer)) and 3 <= self.grid <= MAX_GRID):
-            raise ConfigError(f"grid must be an integer in [3, {MAX_GRID}], got {self.grid!r}")
-        if not (math.isfinite(self.tol) and self.tol > 0):
-            raise ConfigError(f"tolerance must be finite and positive, got {self.tol}")
+_GRID = 61  # scan points per line
+_TOL = 1e-6  # width below which a root search ends
 
 
 @dataclass(frozen=True)
@@ -184,21 +171,18 @@ def _refine(p: ModelParams, d: SenderDist, searches: dict, where: dict) -> tuple
 
 
 @lru_cache(maxsize=128)
-def _scan_side(d: SenderDist, q: float, n: int) -> tuple[np.ndarray, sp.DistSide]:
-    """The scan grid and its ``dist_side``, read-only: shared by equal (d, q, n)."""
-    grid = np.linspace(0.0, d.zbar, n)
+def _scan_side(d: SenderDist, q: float) -> tuple[np.ndarray, sp.DistSide]:
+    """The scan grid and its ``dist_side``, read-only: shared by equal (d, q)."""
+    grid = np.linspace(0.0, d.zbar, _GRID)
     side = sp.dist_side(d, q, grid)
     for a in (grid, *side.moments, *side[1:]):
         a.flags.writeable = False
     return grid, side
 
 
-def optimize(
-    p: ModelParams, d: SenderDist, opts: OptimizerOptions | None = None
-) -> DelegationOutcome:
+def optimize(p: ModelParams, d: SenderDist) -> DelegationOutcome:
     """Solve the planner's problem: argmax of the net surplus over thresholds."""
-    opts = opts or OptimizerOptions()
-    grid, side = _scan_side(d, p.q, opts.grid)
+    grid, side = _scan_side(d, p.q)
     scan = sp.line_pass(p, d, grid, edge=slice(1, None), side=side)
     for edge, diag in zip(scan.edge, scan.diag):
         edge[0] = diag[0]  # the corner (0, 0) lies on both lines
@@ -215,11 +199,11 @@ def optimize(
         # The line's best cell, past the corner on the edge: the larger z on ties.
         first = int(name == "edge")
         top = max(values[first:])
-        c = next(i for i in range(opts.grid - 1, -1, -1) if values[i] >= top - _TIE_TOL)
-        k = (max(c - 1, 0), c, min(c + 1, opts.grid - 1))
+        c = next(i for i in range(_GRID - 1, -1, -1) if values[i] >= top - _TIE_TOL)
+        k = (max(c - 1, 0), c, min(c + 1, _GRID - 1))
         z = [min(max(zs[i], EFFECTIVE_ZERO), d.zbar - EFFECTIVE_ZERO) for i in k]
         s_k = [slopes[i] if z_i == zs[i] else math.nan for i, z_i in zip(k, z)]
-        searches[name] = _root_search(z, [values[i] for i in k], s_k, opts.tol)
+        searches[name] = _root_search(z, [values[i] for i in k], s_k, _TOL)
         where.update(((name, zs[i]), (scan, i)) for i in k)
     results, refine_evals = _refine(p, d, searches, where)
     # The tie tolerance guards only points that are not roots, such as
@@ -237,15 +221,15 @@ def optimize(
     else:
         record = th.resolve(p, d, z_l, z_h)
     # surplus_of's pieces at record.z_h, read off the pass that holds them.
-    lp, i = (scan, opts.grid - 1) if record.eq_class == th.SEPARATING else at
+    lp, i = (scan, _GRID - 1) if record.eq_class == th.SEPARATING else at
     sep = 0.0 if record.eq_class == th.POOLING else lp.sep[i]
     breakdown = sp.surplus_from(p, d, record, sep, [m[i] for m in lp.moments])
     diagnostics = {
-        "grid": opts.grid,
+        "grid": _GRID,
         "grid_best": {"z_l": zs[gi], "z_h": zs[gj], "value": g_val},
         "refine_method": line,
         "refine_evals": refine_evals,
-        "n_grid_evals": 2 * opts.grid - 1,
+        "n_grid_evals": 2 * _GRID - 1,
         "tie_break_applied": tie_break,
         "flat_objective": flat,
         "certificate": float(breakdown.total - g_val),

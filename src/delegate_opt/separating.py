@@ -114,8 +114,9 @@ class SeparatingPath:
     def mu_tilde(self, s):
         """Market belief mu(s) about the sender type choosing action s."""
         s_arr = np.asarray(s, dtype=float)
-        if not (s_arr >= self.s_l * (1.0 - _DOMAIN_SLACK) - _DOMAIN_SLACK).all():
-            raise DomainError(f"mu undefined below the entry action s_l={self.s_l}")
+        lo = self.s_l * (1.0 - _DOMAIN_SLACK) - _DOMAIN_SLACK
+        if not ((s_arr >= lo) & (s_arr < math.inf)).all():
+            raise DomainError(f"mu undefined below the entry action s_l={self.s_l} or at inf")
         s_arr = np.maximum(s_arr, self.s_l)
         q2 = 2.0 + self.params.q
         if self.z_l == 0.0:
@@ -127,8 +128,8 @@ class SeparatingPath:
     def mu_prime(self, s):
         """d mu / d s, analytic from the closed form (s > s_l or z_l > 0)."""
         s_arr = np.asarray(s, dtype=float)
-        if not (s_arr > 0.0).all():
-            raise DomainError("mu_prime needs s > 0")
+        if not ((s_arr > 0.0) & (s_arr < math.inf)).all():
+            raise DomainError("mu_prime needs a finite s > 0")
         q2 = 2.0 + self.params.q
         out = self._poly_prime(s_arr) / (q2 * np.power(self._poly(s_arr), (q2 - 1.0) / q2))
         return float(out) if np.ndim(s) == 0 else out

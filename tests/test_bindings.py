@@ -9,8 +9,6 @@ import subprocess
 import sys
 from pathlib import Path
 
-import pytest
-
 import delegate_opt
 
 TRACING = Path(__file__).resolve().parents[1] / "perfbench" / "tracing.py"
@@ -30,16 +28,13 @@ def test_every_traced_layer_resolves():
             assert callable(getattr(module, attr, None)), name
 
 
-@pytest.mark.parametrize("grid", [3, 61])
-def test_optimize_diagnostics_hold_what_the_benchmark_reads(grid):
+def test_optimize_diagnostics_hold_what_the_benchmark_reads():
     # The tracer sums n_grid_evals and refine_evals, and design-rows checks
     # the certificate against -1e-8.
-    out = delegate_opt.optimize(
-        delegate_opt.ModelParams(), delegate_opt.SenderDist(1, 1, 3),
-        delegate_opt.OptimizerOptions(grid=grid),
-    )
+    out = delegate_opt.optimize(delegate_opt.ModelParams(), delegate_opt.SenderDist(1, 1, 3))
     diagnostics = out.diagnostics
-    assert diagnostics["n_grid_evals"] == 2 * grid - 1
+    assert diagnostics["grid"] == 61
+    assert diagnostics["n_grid_evals"] == 2 * 61 - 1
     assert type(diagnostics["refine_evals"]) is int
     assert diagnostics["certificate"] >= -1e-8
 

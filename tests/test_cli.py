@@ -3,11 +3,12 @@ from __future__ import annotations
 import json
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
-from delegate_opt import SenderDist
-from delegate_opt.cli import main
+from delegate_opt import ModelParams, SenderDist
+from delegate_opt.cli import load_config, main
 
 
 def run_cli(*argv) -> int:
@@ -22,19 +23,42 @@ class TestConfig:
         assert "config error" in capsys.readouterr().err
 
     @pytest.mark.parametrize(
-        "optimizer, message",
-        [({"refine": "auto"}, "unknown optimizer keys: ['refine']"),
-         ({"grid": 1002}, "grid must be an integer in [3, 1001]")],
+        "optimizer", [{"refine": "auto"}, {"grid": 1002}, {"grid": 61, "tol": 1e-6}, {}]
     )
-    def test_removed_optimizer_settings_are_config_errors(
-        self, tmp_path, capsys, optimizer, message
-    ):
-        # The optimizer has no refine switch, and no grid past the scan
-        # cache's bound; the grid is rejected before any scan runs.
+    def test_removed_optimizer_settings_are_config_errors(self, tmp_path, capsys, optimizer):
+        # The optimizer has no settings: its scan grid and root tolerance are
+        # constants, so the config has no optimizer key, even an empty one.
         cfg = tmp_path / "bad.json"
         cfg.write_text(json.dumps({"optimizer": optimizer}))
         assert run_cli("optimize", "--config", str(cfg)) == 1
+        assert "unknown config keys: ['optimizer']" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "text, message",
+        [("[]", "config root must be a JSON object"),
+         ('{"dist": 5}', "dist must be a JSON object"),
+         ('{"dist": null}', "dist must be a JSON object"),
+         ('{"dist": "ab"}', "dist must be a JSON object"),
+         ('{"dist": [1, 1, 3]}', "dist must be a JSON object"),
+         ('{"dist": {"gamma": 1}}', "unknown dist keys: ['gamma']"),
+         ('{"A": "x"}', "bad config value"),
+         ('{"dist": {"zbar": [3]}}', "bad config value")],
+    )
+    def test_malformed_config_is_config_error(self, tmp_path, capsys, text, message):
+        # A non-object dist used to escape main() as a generic TypeError, or
+        # (a string) to be read as its characters' keys.
+        cfg = tmp_path / "bad.json"
+        cfg.write_text(text)
+        assert run_cli("optimize", "--config", str(cfg)) == 1
         assert message in capsys.readouterr().err
+
+    def test_readme_config_loads_the_defaults(self, tmp_path):
+        # The config block under "Config JSON" in README.md shows the defaults.
+        readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+        block = readme.split("Config JSON", 1)[1].split("```json\n", 1)[1].split("```", 1)[0]
+        cfg = tmp_path / "readme.json"
+        cfg.write_text(block)
+        assert load_config(str(cfg)) == (ModelParams(), SenderDist(1, 1, 3))
 
     def test_missing_file_is_config_error(self):
         assert run_cli("optimize", "--config", "/nonexistent.json") == 1
@@ -51,7 +75,8 @@ class TestConfig:
          '{"optimizer": {"tol": NaN}}', '{"optimizer": {"tol": 0}}'],
     )
     def test_non_finite_value_is_config_error(self, tmp_path, text):
-        # json.loads accepts NaN and Infinity, so the constructors check.
+        # json.loads accepts NaN and Infinity, so the constructors check. The
+        # optimizer key, whatever it holds, is itself unknown now.
         cfg = tmp_path / "bad.json"
         cfg.write_text(text)
         assert run_cli("optimize", "--config", str(cfg)) == 1
@@ -121,7 +146,6 @@ class TestOptimize:
         cfg.write_text(json.dumps({
             "A": 1, "beta": 0.5, "a": 0.5, "k": 1, "q": 1,
             "dist": {"alpha": 1, "beta": 1, "zbar": 3},
-            "optimizer": {"grid": 31, "tol": 1e-6},
         }))
         assert run_cli("optimize", "--config", str(cfg)) == 0
         payload = json.loads(capsys.readouterr().out)
@@ -168,6 +192,17 @@ class TestDesignVerifyPaths:
         ) == 0
         names = sorted(f.name for f in tmp_path.iterdir())
         assert names == ["design2_beta1_1_t_h.csv", "design2_beta1_1_z_h.csv"]
+
+    def test_paths_design4_one_file_pair_per_a(self, tmp_path):
+        # Design 4 sweeps q at each of four a, so each a is its own panel.
+        assert run_cli(
+            "paths", "--design", "4", "--dist", "1,1", "--out", str(tmp_path)
+        ) == 0
+        names = {f.name for f in tmp_path.iterdir()}
+        assert names == {
+            f"design4_beta1_1_a{a}_{col}.csv"
+            for a in ("0", "0.3", "0.6", "0.9") for col in ("t_h", "z_h")
+        }
 
     def test_fractional_dist_shape(self, tmp_path):
         assert run_cli(

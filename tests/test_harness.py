@@ -65,7 +65,7 @@ class TestRunDesign:
     def test_failures_annotated_with_row_parameters(self, monkeypatch):
         from delegate_opt.errors import ConvergenceError
 
-        def boom(p, d, design, opts=None):
+        def boom(p, d, design):
             raise ConvergenceError("synthetic failure")
 
         monkeypatch.setattr(harness, "run_config", boom)

@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import numpy as np
 import pytest
 
 from delegate_opt import ModelParams, model
@@ -81,3 +82,25 @@ def test_non_finite_params_rejected(field, value):
     # ConvergenceError deep inside optimize.
     with pytest.raises(ConfigError, match="finite"):
         ModelParams(**{field: value})
+
+
+_NAN = float("nan")
+
+
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda p: model.match_n(p, _NAN),
+        lambda p: model.match_n(p, np.array([1.0, _NAN])),
+        lambda p: model.cost_c(p, 1.0, _NAN),
+        lambda p: model.cost_c(p, 0.0, _NAN),
+        lambda p: model.cost_c(p, _NAN, 1.0),
+        lambda p: model.surplus_v(p, 1.0, _NAN, 1.0),
+    ],
+    ids=["match-nan", "match-array-nan", "cost-z-nan", "cost-zero-s-z-nan",
+         "cost-s-nan", "surplus-s-nan"],
+)
+def test_nan_type_or_action_is_domain_error(call):
+    # Each returned NaN: a bound check written as x < lo lets NaN pass.
+    with pytest.raises(DomainError):
+        call(ModelParams())

@@ -11,11 +11,11 @@ from delegate_opt import ModelParams, SenderDist, SeparatingPath, optimize, pi_s
 from delegate_opt import distributions, quadrature, separating
 from delegate_opt import surplus as sp
 from delegate_opt.cli import main
-from delegate_opt.errors import ConfigError, ConvergenceError
+from delegate_opt.errors import ConvergenceError
 from delegate_opt.distributions import EFFECTIVE_ZERO
 from delegate_opt.harness import load_golden, run_config, run_design
 from delegate_opt.optimizer import (
-    MAX_GRID, OptimizerOptions, _hermite, _iqi, _root_search, _scan_side,
+    _GRID, _TOL, _hermite, _iqi, _root_search, _scan_side,
 )
 from delegate_opt.surplus import sep_part
 from delegate_opt import thresholds
@@ -106,7 +106,7 @@ class TestCertificates:
 
         monkeypatch.setattr(sp, "surplus_from", low)
         with pytest.raises(ConvergenceError):
-            optimize(baseline, uniform3, OptimizerOptions(grid=13))
+            optimize(baseline, uniform3)
         assert main(["optimize"]) == 2
 
 
@@ -163,36 +163,6 @@ class TestDeterminism:
         assert max(pcts) - min(pcts) <= 0.01
 
 
-class TestOptions:
-    def test_grid_resolution_guard(self):
-        with pytest.raises(ConfigError):
-            OptimizerOptions(grid=2)
-
-    @pytest.mark.parametrize("grid", [7.5, True, 2, 1_002, 10**9, np.float64(61)])
-    def test_grid_must_be_a_bounded_integer(self, grid):
-        # 7.5 used to pass and then fail in np.linspace with NumPy's generic
-        # TypeError, and 10**9 to start a scan of that many points; 1,002 is
-        # one past the scan cache's bound, which every grid goes through. The
-        # options are only built here, never run.
-        with pytest.raises(ConfigError, match="grid"):
-            OptimizerOptions(grid=grid)
-
-    @pytest.mark.parametrize("grid", [3, MAX_GRID, np.int64(61)])
-    def test_grid_range_ends_are_accepted(self, grid):
-        assert OptimizerOptions(grid=grid).grid == grid
-
-    @pytest.mark.parametrize("tol", [0.0, -1.0, float("nan"), float("inf")])
-    def test_tolerance_guard(self, tol):
-        # A NaN tolerance used to skip the refinement silently, and 0 or -1
-        # to end in a ConvergenceError.
-        with pytest.raises(ConfigError, match="tolerance"):
-            OptimizerOptions(tol=tol)
-
-    def test_coarse_grid_still_lands_close(self, baseline, uniform3):
-        out = optimize(baseline, uniform3, OptimizerOptions(grid=13))
-        assert out.thresholds.z_h == pytest.approx(1.755, abs=0.05)
-
-
 def test_interior_grid_optimum_refines_on_edge():
     # The full triangle's grid optimum of this configuration is interior
     # (z_l > 0). The edge search must reach at least the value a 2-D simplex
@@ -223,7 +193,7 @@ def test_edge_beats_diagonal_grid_best():
 
 
 def _scan_is_finite(p: ModelParams, d: SenderDist) -> bool:
-    grid = np.linspace(0.0, d.zbar, OptimizerOptions().grid)
+    grid = np.linspace(0.0, d.zbar, _GRID)
     scan = sp.line_pass(p, d, grid, edge=slice(1, None))
     return bool(np.isfinite(scan.edge[0][1:]).all() and np.isfinite(scan.diag[0]).all())
 
@@ -255,18 +225,17 @@ def test_refined_edge_optimum_matches_reference(baseline, shape):
     # Against a bounded scalar search on pi_w over the same bracket: the two
     # grid cells around the best scanned edge column.
     d = SenderDist(*shape, 3)
-    opts = OptimizerOptions()
-    grid = np.linspace(0.0, d.zbar, opts.grid)
+    grid = np.linspace(0.0, d.zbar, _GRID)
     edge = np.array([pi_w(baseline, d, 0.0, z).total for z in grid[1:]])
     j = int(np.flatnonzero(edge >= edge.max() - 1e-9)[-1]) + 1
     ref = minimize_scalar(
         lambda z: -pi_w(baseline, d, 0.0, z).total,
-        bounds=(max(grid[j - 1], EFFECTIVE_ZERO), grid[min(j + 1, opts.grid - 1)]),
+        bounds=(max(grid[j - 1], EFFECTIVE_ZERO), grid[min(j + 1, _GRID - 1)]),
         method="bounded", options={"xatol": 1e-10},
     )
-    out = optimize(baseline, d, opts)
+    out = optimize(baseline, d)
     assert out.diagnostics["refine_method"] == "edge"
-    assert abs(out.thresholds.z_h - ref.x) <= opts.tol
+    assert abs(out.thresholds.z_h - ref.x) <= _TOL
 
 
 def test_refinement_call_budget(monkeypatch):
@@ -275,7 +244,7 @@ def test_refinement_call_budget(monkeypatch):
     # one is a round of both lines' root searches, and the Hermite seed leaves
     # at most two. The passes make the row's only tail_moments calls (the
     # returned record is priced from a pass), but the scan takes its
-    # distribution side from the cache once an equal (d, q, grid) has run:
+    # distribution side from the cache once an equal (d, q) has run:
     # one call per pass cold, one fewer warm.
     calls = Counter()
     for owner, name in ((sp, "line_pass"), (SenderDist, "tail_moments")):
@@ -365,6 +334,25 @@ def test_root_search_from_a_grid_end(first):
     assert abs(slope) <= 1e-5 and s(z_root - 1e-6) > 0.0 > s(z_root + 1e-6)
 
 
+def test_root_search_ends_when_the_bracket_narrows_below_tol():
+    # A root 2e-4 below the bracket's top end: each round's stencil lies
+    # below it, so no round sees the sign change, and the search ends on the
+    # bracket once it is narrower than tol, at the better end (the lower on a
+    # tie), within tol of the root.
+    root, tol = 1.0 - 2e-4, 1e-3
+    search = _root_search([0.9, 0.95, 1.0], [0.0, 0.0, 0.0], [1.0, 1.0, -1.0], tol)
+    x, rounds = next(search), 1
+    try:
+        while True:
+            assert not x[0] < root < x[-1]
+            slopes = [1.0 if v < root else -1.0 for v in x]
+            x, rounds = search.send(([0.0] * 3, slopes)), rounds + 1
+    except StopIteration as stop:
+        z, value, slope, found = stop.value
+    assert rounds == 5 and found and (value, slope) == (0.0, 1.0)
+    assert 0.95 < z < 1.0 and abs(z - root) <= tol
+
+
 def test_root_search_bisects_in_log_z_near_effective_zero():
     # The edge slope is about 9e3 at EFFECTIVE_ZERO and the root is at
     # 0.00275; arithmetic bisection crawled toward it in 68 points.
@@ -384,7 +372,7 @@ def test_design_rows_return_bracketed_slope_roots():
     # First-order condition: on every StrictlyWellBehaved design row the
     # returned z_h is within tol of a root of the edge slope, which is
     # positive tol below it and negative tol above it.
-    tol = OptimizerOptions().tol
+    tol = _TOL
     rows = 0
     for g in load_golden():
         p = ModelParams(a=g.a, k=g.k, q=g.q)
@@ -537,7 +525,7 @@ def test_record_from_the_pass_is_the_resolved_record(monkeypatch):
 
 def test_cold_and_warm_scans_give_equal_outcomes():
     # The scan's distribution side comes from the cache on a repeated
-    # (d, q, grid); every field of the outcome is what a cold cache gives, on
+    # (d, q); every field of the outcome is what a cold cache gives, on
     # all design rows and 20 endpoint-singular box draws.
     for p, d in _rows_and_draws()[:331]:  # the first 20 draws
         _scan_side.cache_clear()
@@ -552,21 +540,15 @@ def test_scan_side_is_read_only_and_keyed_by_value(baseline):
     optimize(baseline, SenderDist(1, 1, 3))
     optimize(baseline, SenderDist(1.0, 1.0, 3.0))
     assert _scan_side.cache_info()[:2] == (1, 1)
-    grid, side = _scan_side(SenderDist(1, 1, 3), baseline.q, 61)
+    grid, side = _scan_side(SenderDist(1, 1, 3), baseline.q)
     for a in (grid, *side.moments, *side[1:]):
         with pytest.raises(ValueError):
             a[0] = 0.0
 
 
 def test_scan_cache_holds_the_design_sweeps_distinct_keys():
-    # The five design sweeps hold 311 rows but 84 distinct (d, q, grid).
+    # The five design sweeps hold 311 rows but 84 distinct (d, q).
     _scan_side.cache_clear()
     rows = [row for design in range(1, 6) for row in run_design(design)]
     assert len(rows) == 311
     assert _scan_side.cache_info().misses == 84
-
-
-def test_scan_cache_holds_the_largest_grid(baseline, uniform3):
-    _scan_side.cache_clear()
-    optimize(baseline, uniform3, OptimizerOptions(grid=MAX_GRID))
-    assert _scan_side.cache_info().currsize == 1

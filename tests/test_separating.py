@@ -298,6 +298,9 @@ _PATH0, _PATH1 = SeparatingPath(_P, 0.0, 3.0), SeparatingPath(_P, 0.5, 3.0)
         lambda: _PATH0.mu_tilde(np.nan),
         lambda: _PATH1.mu_tilde(np.nan),
         lambda: _PATH1.mu_prime(np.nan),
+        lambda: _PATH1.mu_prime(np.inf),
+        lambda: _PATH0.mu_tilde(np.inf),
+        lambda: _PATH1.mu_tilde(np.inf),
         lambda: s_lower(_P, np.nan),
         lambda: s_lower(_P, np.inf),
         lambda: s_lower(_P, 1e300),
@@ -305,10 +308,12 @@ _PATH0, _PATH1 = SeparatingPath(_P, 0.0, 3.0), SeparatingPath(_P, 0.5, 3.0)
     ids=["cdf-nan", "pdf-nan", "pdf-array-nan", "moment-order-nan",
          "moment-order-inf", "moment-overflow", "sigma-nan", "sigma-many-nan",
          "tau-nan", "tau-nan-z_l", "mu-nan", "mu-nan-z_l", "mu_prime-nan",
+         "mu_prime-inf-z_l", "mu-inf", "mu-inf-z_l",
          "s_lower-nan", "s_lower-inf", "s_lower-overflow"],
 )
 def test_nan_and_overflow_are_domain_errors(call):
     # Each of these returned NaN, inf or (the density) 0, or raised a generic
-    # OverflowError: a bound check written as x < lo or x > hi lets NaN pass.
+    # OverflowError or RuntimeWarning: a bound check written as x < lo or
+    # x > hi lets NaN pass, and one written as x > lo lets inf pass.
     with pytest.raises(DomainError):
         call()
