@@ -10,10 +10,11 @@ initial condition mu(s_l) = z_l (kappa = 0 when z_l = 0, in which case mu is
 a pure power law B s^m with m = (2-a)/(2+q)). The action function sigma is
 mu's inverse. It has no closed form for z_l > 0, but in v = s^(2+a+aq) the
 inversion is a convex root, which Newton solves from the power law without a
-bracket. The wage tau is the integral of the marginal cost 2 beta s / mu(s)
-along the path, which by the envelope argument equals the receiver-side
-marginal-value integrand. It has a closed form: a power law when z_l = 0, a
-Gauss hypergeometric function (DLMF 15.2) when z_l > 0.
+bracket (``newton_blocks``, the loop that the pooled action shares). The
+wage tau is the integral of the marginal cost 2 beta s / mu(s) along the
+path, which by the envelope argument equals the receiver-side marginal-value
+integrand. It has a closed form: a power law when z_l = 0, a Gauss
+hypergeometric function (DLMF 15.2) when z_l > 0.
 """
 
 from __future__ import annotations
@@ -30,6 +31,29 @@ from .model import ModelParams
 
 _INV_TOL = 1e-12
 _DOMAIN_SLACK = 1e-9
+_BLOCK = 4  # Newton steps between convergence tests
+
+
+def newton_blocks(step, x, tol: float, message: str):
+    """Elementwise Newton x <- x - step(x) from x, in blocks of 4 steps.
+
+    After each block, an element whose last step was at most tol * x keeps
+    that block's result, so it depends on its own inputs alone and not on
+    the batch it came in; the other elements go on. Raises
+    ConvergenceError(message) with any element left after 100 steps.
+    """
+    out, live = x, True
+    for _ in range(100 // _BLOCK):
+        for _ in range(_BLOCK):
+            dx = step(x)
+            x = x - dx
+        fresh = live & (np.abs(dx) <= tol * x)
+        if fresh.all():  # every element, none kept from an earlier block
+            return x
+        out, live = np.where(fresh, x, out), live & ~fresh
+        if not live.any():
+            return out
+    raise ConvergenceError(message)
 
 
 def s_lower(p: ModelParams, z_l: float) -> float:
@@ -149,7 +173,8 @@ class SeparatingPath:
         power law v0 = (z^(2+q)/c1)^(1/(1-e)) has h(v0) = kappa < 0 and
         h'(v0) = c1 (1-e) > 0, so the first Newton step lands right of the
         root and every later one descends onto it with h' > 0: no bracket is
-        needed. h is linear when a = 0.
+        needed. h is linear when a = 0. Every power is ``np.power``, so a
+        scalar, a one-element and a longer array round alike.
         """
         z = np.asarray(z, dtype=float)
         if not ((z >= self.z_l - _DOMAIN_SLACK) & (z <= self.zbar * (1.0 + _DOMAIN_SLACK))).all():
@@ -161,14 +186,14 @@ class SeparatingPath:
             return np.power(target / self.c1, 1.0 / (2.0 - p.a))
         r = 2.0 + p.a + p.a * p.q
         e = p.a * (2.0 + p.q) / r
-        v = np.power(target / self.c1, 1.0 / (1.0 - e))
-        for _ in range(100):
+
+        def step(v):
             v_e = np.power(v, e)
-            step = (self.c1 * v + self._kappa - target * v_e) / (self.c1 - e * target * v_e / v)
-            v = v - step
-            if (np.abs(step) <= _INV_TOL * v).all():
-                return np.power(v, 1.0 / r)
-        raise ConvergenceError("sigma inversion did not converge")
+            return (self.c1 * v + self._kappa - target * v_e) / (self.c1 - e * target * v_e / v)
+
+        v = np.power(target / self.c1, 1.0 / (1.0 - e))
+        v = newton_blocks(step, v, _INV_TOL, "sigma inversion did not converge")
+        return np.power(v, 1.0 / r)
 
     # -- the market wage -------------------------------------------------------
 

@@ -96,8 +96,10 @@ def sep_part(
 
 
 def _pooled_net(p: ModelParams, s_h, ez, pm_q, pm_inv):
-    """A k s_h^a E[z|z>=z_h] int z^q g - beta s_h^2 int g/z over the pooled tail."""
-    return p.A * p.k * s_h**p.a * ez * pm_q - p.beta_cost * s_h**2 * pm_inv
+    """A k s_h^a E[z|z>=z_h] int z^q g - beta s_h^2 int g/z over the pooled
+    tail; ``np.power`` and a product, so that a scalar and an array round alike."""
+    return (p.A * p.k * np.power(s_h, p.a) * ez * pm_q
+            - p.beta_cost * (s_h * s_h) * pm_inv)
 
 
 def pool_part(
@@ -198,12 +200,12 @@ def line_pass(p: ModelParams, d: SenderDist, z: np.ndarray, edge: slice = slice(
         zs, e, w_q, w_inv = z[diag], ez[diag], m_q[diag], m_inv[diag]
         if zs.size:
             low, cap = zs < EFFECTIVE_ZERO, top[diag]
-            s_star = (zs ** (p.q + 1.0) * p.A * p.k * e / p.beta_cost) ** (1.0 / (2.0 - p.a))
+            s_star = thresholds._s_star(p, zs, e)
             s_star[low] = 0.0
             value = _pooled_net(p, s_star, e, w_q, w_inv)
             rate = p.a * (p.q + 1.0) / zs + 2.0 * dez[diag] / e
             d_w = -(p.q + 1.0) * z_q[diag] * w_inv
-            slope = value * rate / (2.0 - p.a) + p.A * p.k * s_star**p.a * e * d_w
+            slope = value * rate / (2.0 - p.a) + p.A * p.k * np.power(s_star, p.a) * e * d_w
             value[cap], slope[low | cap] = 0.0, 0.0
             d_val[diag], d_slope[diag] = value, slope
     if z[edge].size:
@@ -219,7 +221,7 @@ def line_pass(p: ModelParams, d: SenderDist, z: np.ndarray, edge: slice = slice(
         e_sig[edge][inner], e_s[edge][inner] = sig, s
         value[inner] += _pooled_net(p, s, e, w_q, w_inv)
         power = (2.0 + 2.0 * p.q + p.a) / (2.0 - p.a)
-        lead = p.A * p.k * s**p.a
+        lead = p.A * p.k * np.power(s, p.a)
         x = lead * z_q[edge][inner] * e
         z_f_z = x * (p.q + 1.0 + zs * de / e) - (power + 1.0) * rhs
         # s dPool/ds, with beta s^2 = (X - rhs) z.

@@ -16,13 +16,12 @@ import numpy as np
 from . import model
 from .distributions import EFFECTIVE_ZERO, SenderDist
 from .errors import (
-    ConvergenceError,
     DegenerateTailError,
     DomainError,
     InconsistencyError,
 )
 from .model import ModelParams
-from .separating import SeparatingPath
+from .separating import SeparatingPath, newton_blocks
 
 POOLING = "Pooling"
 STRICTLY_WELL_BEHAVED = "StrictlyWellBehaved"
@@ -133,56 +132,66 @@ def _pooled_action_rhs(p: ModelParams, sig, z_h, ez) -> tuple[np.ndarray, np.nda
     root. For rhs >= 0, f is concave, so Newton descends monotonically onto
     it. A negative rhs, which only rounding produces (z_h next to z_l), makes
     f convex and decreasing, and Newton climbs onto its only root. f is
-    linear when a = 0. Newton stops once its step |du| <= 1e-7 u, which left
-    u within about 1e-14 relative (quadratic convergence). Every z_h must lie
-    strictly inside (z_l, zbar - 1e-9). The residual at sigma(z_h) is exactly
-    A k sigma^a z_h^q (ez - z_h); where that is not positive, no root exists.
+    linear when a = 0. An element's Newton (``newton_blocks``) ends at the
+    first block of steps whose last one was |du| <= 1e-7 u, which left u
+    within about 1e-14 relative (quadratic convergence). Every power is
+    ``np.power`` and the square a product, so a scalar, a one-element and a
+    longer array round alike.
+    Every z_h must lie strictly inside (z_l, zbar - 1e-9). The residual at
+    sigma(z_h) is exactly A k sigma^a z_h^q (ez - z_h); where that is not
+    positive, no root exists.
     """
-    z_h = np.asarray(z_h, dtype=float)
-    crossing = ez > z_h
+    crossing = np.greater(ez, z_h)
     if not crossing.all():
-        raise _no_crossing(z_h[~crossing][0])
-    c1 = p.A * p.k * z_h**p.q * ez
+        raise _no_crossing(np.asarray(z_h)[~crossing][0])
+    c1 = p.A * p.k * np.power(z_h, p.q) * ez
     c2 = p.beta_cost / z_h
-    rhs = p.A * p.k * sig**p.a * z_h ** (1.0 + p.q) - p.beta_cost * sig**2 / z_h
+    rhs = (p.A * p.k * np.power(sig, p.a) * np.power(z_h, 1.0 + p.q)
+           - p.beta_cost * (sig * sig) / z_h)
     e = p.a / (2.0 - p.a)
     e_rhs = e * rhs
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
         u_sig = np.power(sig, 2.0 - p.a)
-        t_e = u_sig**-e
+        t_e = np.power(u_sig, -e)
         fall = c2 - e_rhs * t_e / u_sig
         tangent = (c1 - (1.0 + e) * rhs * t_e) / fall
     u = c1 / c2
-    u = np.where(np.minimum(rhs, fall) > 0.0, np.minimum(u, tangent), u)
-    for _ in range(100):
-        u_e = u**-e
-        du = (c1 - c2 * u - rhs * u_e) / (e_rhs * u_e / u - c2)
-        u = u - du
-        if (np.abs(du) <= 1e-7 * u).all():
-            return u ** (1.0 / (2.0 - p.a)), rhs
-    raise ConvergenceError("pooled-action Newton iteration did not converge")
+    # [()] turns where's 0-d result for scalar inputs into a scalar.
+    u = np.where(np.minimum(rhs, fall) > 0.0, np.minimum(u, tangent), u)[()]
+
+    def step(u):
+        u_e = np.power(u, -e)
+        return (c1 - c2 * u - rhs * u_e) / (e_rhs * u_e / u - c2)
+
+    u = newton_blocks(step, u, 1e-7, "pooled-action Newton iteration did not converge")
+    return np.power(u, 1.0 / (2.0 - p.a)), rhs
 
 
 def solve_top(
     p: ModelParams, d: SenderDist, path: SeparatingPath, z_h: float
 ) -> tuple[float, float]:
     """Pooled action and wage cap (s_h, t_h) for a given top threshold z_h."""
+    return _top(p, d, path, z_h)[:2]
+
+
+def _top(p: ModelParams, d: SenderDist, path: SeparatingPath, z_h: float) -> tuple:
+    """``solve_top``'s (s_h, t_h), and x_h from the ``retrieve_cap`` call that gives t_h."""
     if not path.z_l < z_h < d.zbar - _TOP_GUARD:
         raise DomainError(f"z_h={z_h} outside (z_l={path.z_l}, zbar-1e-9)")
     sig, ez = path.sigma_tilde(z_h), d.trunc_mean(z_h)
     s_h = pooled_action_many(p, sig, z_h, ez)
-    return s_h, retrieve_cap(p, path, z_h, sig, s_h, ez)[0]
+    return (s_h, *retrieve_cap(p, path, z_h, sig, s_h, ez))
 
 
 def retrieve_cap(p: ModelParams, path: SeparatingPath, z_h, sig, s_h, ez) -> tuple[float, float]:
-    """Wage cap t_h and receiver x_h = n(z_h) from sigma(z_h), the pooled action
-    and the tail mean. t_h comes from the sellers' jump indifference; the
+    """Wage cap t_h and receiver x_h = n(z_h) (``model.match_n``) from
+    sigma(z_h), the pooled action and the tail mean. t_h comes from the sellers' jump indifference; the
     buyers'-side retrieval must agree (the two equations sum to the one
     defining s_h) and any disagreement beyond 1e-6 relative aborts.
     """
     tau_sig = path.tau_tilde(sig)
     t_sellers = p.beta_cost * s_h**2 / z_h + tau_sig - p.beta_cost * sig**2 / z_h
-    x_h = p.k * z_h**p.q
+    x_h = float(model.match_n(p, z_h))
     t_buyers = p.A * x_h * s_h**p.a * ez - p.A * sig**p.a * x_h * z_h + tau_sig
     scale = max(1.0, abs(t_sellers), abs(t_buyers))
     if abs(t_sellers - t_buyers) > _RETRIEVAL_RTOL * scale:
@@ -206,10 +215,13 @@ def pooling_star(
         raise DomainError(f"z_star={z_star} outside [0, zbar={d.zbar})")
     if z_star < EFFECTIVE_ZERO:
         return 0.0, 0.0
-    s_star = (
-        z_star ** (p.q + 1.0) * p.A * p.k * d.trunc_mean(z_star) / p.beta_cost
-    ) ** (1.0 / (2.0 - p.a))
+    s_star = float(_s_star(p, z_star, d.trunc_mean(z_star)))
     return s_star, model.cost_c(p, s_star, z_star)
+
+
+def _s_star(p: ModelParams, z, ez):
+    """``pooling_star``'s s* at entry z > 0 with tail mean ez, scalar or array alike."""
+    return np.power(np.power(z, p.q + 1.0) * p.A * p.k * ez / p.beta_cost, 1.0 / (2.0 - p.a))
 
 
 def resolve(p: ModelParams, d: SenderDist, z_l: float, z_h: float) -> Thresholds:
@@ -231,10 +243,10 @@ def resolve(p: ModelParams, d: SenderDist, z_l: float, z_h: float) -> Thresholds
             t_l=path.t_l, t_h=path.tau_tilde(s_top),
             x_h=model.match_n(p, d.zbar), eq_class=SEPARATING,
         )
-    s_h, t_h = solve_top(p, d, path, z_h)
+    s_h, t_h, x_h = _top(p, d, path, z_h)
     return Thresholds(
         z_l=z_l, z_h=z_h, s_l=path.s_l, s_h=s_h, t_l=path.t_l, t_h=t_h,
-        x_h=model.match_n(p, z_h), eq_class=STRICTLY_WELL_BEHAVED,
+        x_h=x_h, eq_class=STRICTLY_WELL_BEHAVED,
     )
 
 

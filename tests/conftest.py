@@ -44,6 +44,32 @@ def random_admissible(rng: np.random.Generator) -> ModelParams:
     )
 
 
+# The model's analytic partials, for the consistency checks of the tests; no
+# package code differentiates v or c.
+def v_s(p: ModelParams, x, s, z):
+    """dv/ds = a A s^(a-1) x z; identically 0 in the pure-signaling case."""
+    if p.a == 0.0:
+        return np.zeros_like(np.asarray(s, dtype=float)) if np.ndim(s) else 0.0
+    return p.a * p.A * np.power(s, p.a - 1.0) * x * z
+
+
+def v_z(p: ModelParams, x, s, z):
+    """dv/dz = A s^a x."""
+    return p.A * np.power(s, p.a) * x
+
+
+def c_s(p: ModelParams, s, z):
+    """dc/ds = 2 beta s / z."""
+    return 2.0 * p.beta_cost * np.asarray(s, dtype=float) / z if np.ndim(s) else (
+        2.0 * p.beta_cost * s / z
+    )
+
+
+def c_z(p: ModelParams, s, z):
+    """dc/dz = -beta s^2 / z^2."""
+    return -p.beta_cost * np.power(s, 2.0) / np.asarray(z, dtype=float) ** 2
+
+
 def sep_cells(
     p: ModelParams, d: SenderDist, path: SeparatingPath, edges: np.ndarray
 ) -> tuple[np.ndarray, int]:

@@ -29,7 +29,7 @@ from delegate_opt import (
 from delegate_opt.harness import CSV_COLUMNS, load_golden, rows_to_csv, run_design
 from delegate_opt.thresholds import POOLING, STRICTLY_WELL_BEHAVED
 
-from conftest import BASELINE_SHAPES, brute_force_triangle, random_admissible
+from conftest import BASELINE_SHAPES, brute_force_triangle, c_s, random_admissible, v_s, v_z
 
 
 def _report(criterion: int, name: str, failures: list[str]) -> None:
@@ -228,11 +228,11 @@ def test_criterion_09_analytic_invariants(rng):
             mu = path.mu_tilde(s)
             x = model.match_n(p, mu)
             resid = (
-                model.v_s(p, x, s, mu)
-                + model.v_z(p, x, s, mu) * path.mu_prime(s)
-                - model.c_s(p, s, mu)
+                v_s(p, x, s, mu)
+                + v_z(p, x, s, mu) * path.mu_prime(s)
+                - c_s(p, s, mu)
             )
-            if abs(resid) > 1e-6 * max(1.0, abs(model.c_s(p, s, mu))):
+            if abs(resid) > 1e-6 * max(1.0, abs(c_s(p, s, mu))):
                 failures.append(f"ODE residual {resid:.2e}")
                 break
     # (b) round trip

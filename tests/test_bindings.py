@@ -11,14 +11,20 @@ from pathlib import Path
 
 import delegate_opt
 
-TRACING = Path(__file__).resolve().parents[1] / "perfbench" / "tracing.py"
+PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
+
+
+def _load(name: str):
+    spec = importlib.util.spec_from_file_location(f"perfbench_{name}", PERFBENCH / f"{name}.py")
+    module = importlib.util.module_from_spec(spec)
+    sys.modules[spec.name] = module  # dataclasses look their module up there
+    spec.loader.exec_module(module)
+    return module
 
 
 def test_every_traced_layer_resolves():
     # ``--trace 1`` fails on a layer whose name the package no longer has.
-    spec = importlib.util.spec_from_file_location("perfbench_tracing", TRACING)
-    tracing = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(tracing)
+    tracing = _load("tracing")
     for name, module_name, attr in tracing.LAYERS:
         module = importlib.import_module(f"{delegate_opt.__name__}.{module_name}")
         if "." in attr:
@@ -26,6 +32,21 @@ def test_every_traced_layer_resolves():
             assert meth in vars(getattr(module, cls_name)), name
         else:
             assert callable(getattr(module, attr, None)), name
+
+
+def test_benchmark_checks_pass_on_the_first_inputs():
+    # The benchmark's output checks on the first six inputs of each workload
+    # (seed 3): a kernel change that breaks a gated check fails here too.
+    workloads = _load("workloads")
+    for name in workloads.GENERATORS:
+        work = workloads.generate(name, 3)
+        for inp in work.inputs[:6]:
+            try:
+                out = work.op(inp)
+            except delegate_opt.DelegateOptError:
+                assert work.typed_error_ok, (name, inp)
+                continue
+            assert work.check(inp, out) is None, (name, inp)
 
 
 def test_optimize_diagnostics_hold_what_the_benchmark_reads():

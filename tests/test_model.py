@@ -6,7 +6,7 @@ import pytest
 from delegate_opt import ModelParams, model
 from delegate_opt.errors import ConfigError, DomainError
 
-from conftest import random_admissible
+from conftest import c_s, c_z, random_admissible, v_s, v_z
 
 
 def test_surplus_examples():
@@ -54,10 +54,10 @@ def test_partials_match_finite_differences(rng):
         x, s, z = rng.uniform(0.5, 3.0, size=3)
         h = 1e-5
         checks = [
-            (model.v_s(p, x, s, z), _central(lambda t: model.surplus_v(p, x, t, z), s, h)),
-            (model.v_z(p, x, s, z), _central(lambda t: model.surplus_v(p, x, s, t), z, h)),
-            (model.c_s(p, s, z), _central(lambda t: model.cost_c(p, t, z), s, h)),
-            (model.c_z(p, s, z), _central(lambda t: model.cost_c(p, s, t), z, h)),
+            (v_s(p, x, s, z), _central(lambda t: model.surplus_v(p, x, t, z), s, h)),
+            (v_z(p, x, s, z), _central(lambda t: model.surplus_v(p, x, s, t), z, h)),
+            (c_s(p, s, z), _central(lambda t: model.cost_c(p, t, z), s, h)),
+            (c_z(p, s, z), _central(lambda t: model.cost_c(p, s, t), z, h)),
         ]
         for analytic, numeric in checks:
             assert analytic == pytest.approx(numeric, rel=1e-6, abs=1e-8)
@@ -96,11 +96,27 @@ _NAN = float("nan")
         lambda p: model.cost_c(p, 0.0, _NAN),
         lambda p: model.cost_c(p, _NAN, 1.0),
         lambda p: model.surplus_v(p, 1.0, _NAN, 1.0),
+        lambda p: model.surplus_v(p, _NAN, 1.0, 1.0),
+        lambda p: model.surplus_v(p, 1.0, 1.0, _NAN),
+        lambda p: model.surplus_v(p, np.array([1.0, _NAN]), 1.0, 1.0),
     ],
     ids=["match-nan", "match-array-nan", "cost-z-nan", "cost-zero-s-z-nan",
-         "cost-s-nan", "surplus-s-nan"],
+         "cost-s-nan", "surplus-s-nan", "surplus-x-nan", "surplus-z-nan",
+         "surplus-array-x-nan"],
 )
 def test_nan_type_or_action_is_domain_error(call):
     # Each returned NaN: a bound check written as x < lo lets NaN pass.
     with pytest.raises(DomainError):
         call(ModelParams())
+
+
+@pytest.mark.parametrize(
+    "s, z",
+    [(-1.0, 0.0), (-1.0, 1.0), (np.array([0.5, -1e-300]), 1.0), (-0.5, np.array([1.0, 0.0]))],
+    ids=["at-zero-type", "inside", "array-action", "array-type"],
+)
+def test_negative_action_is_domain_error(s, z):
+    # cost_c(p, -1.0, 0.0) returned beta s^2 / EFFECTIVE_ZERO = 500000.0:
+    # the singularity check exempted every s <= 0, not only s = 0.
+    with pytest.raises(DomainError):
+        model.cost_c(ModelParams(), s, z)

@@ -498,9 +498,8 @@ def test_returned_surplus_is_surplus_of_its_record():
 def test_record_from_the_pass_is_the_resolved_record(monkeypatch):
     # A StrictlyWellBehaved optimum's record is built from the line pass
     # that solved its top system; only a Pooling or Separating one goes
-    # through resolve. The record is resolve's: exact in the types, the
-    # entry pair and the class, and to 1e-14 relative in the top reactions,
-    # where the pass's array Newton and resolve's scalar one part.
+    # through resolve. The record is resolve's, bit for bit in every field:
+    # the pass's array kernels and resolve's scalar calls round alike.
     resolved = []
 
     def counted(*args):
@@ -513,12 +512,7 @@ def test_record_from_the_pass_is_the_resolved_record(monkeypatch):
         resolved.clear()
         rec = optimize(p, d).thresholds
         classes[rec.eq_class] += 1
-        want = resolve(p, d, rec.z_l, rec.z_h)
-        assert (rec.z_l, rec.z_h, rec.s_l, rec.t_l, rec.eq_class) == (
-            want.z_l, want.z_h, want.s_l, want.t_l, want.eq_class), (p, d)
-        for name in ("s_h", "t_h", "x_h"):
-            got, ref = getattr(rec, name), getattr(want, name)
-            assert abs(got - ref) <= 1e-14 * abs(ref), (p, d, name)
+        assert rec == resolve(p, d, rec.z_l, rec.z_h), (p, d)
         assert resolved == ([] if rec.eq_class == STRICTLY_WELL_BEHAVED else [rec]), (p, d)
     assert classes[STRICTLY_WELL_BEHAVED] > 300 and classes[POOLING] >= 31
 

@@ -3,6 +3,7 @@ admissible box."""
 
 from __future__ import annotations
 
+import numpy as np
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
@@ -17,7 +18,10 @@ from delegate_opt import (
     solve_top,
 )
 from delegate_opt.distributions import EFFECTIVE_ZERO
-from delegate_opt.thresholds import STRICTLY_WELL_BEHAVED, classify, resolve
+from delegate_opt.surplus import line_pass
+from delegate_opt.thresholds import STRICTLY_WELL_BEHAVED, _pooled_action_rhs, classify, resolve
+
+from conftest import AGREEMENT_SHAPES
 
 
 def _floats(lo: float, hi: float) -> st.SearchStrategy[float]:
@@ -100,3 +104,44 @@ def test_resolve_solves_the_top_system(
     assert excess(max(sig, s_h - tol)) >= 0.0 >= excess(s_h + tol)
     assert rec.t_h < path.top_wage()
     assert abs(path.mu_tilde(sig) - z_h) <= 1e-12 * zbar
+
+
+def _bits(x) -> bytes:
+    return np.asarray(x, dtype=float).tobytes()
+
+
+def test_kernels_round_alike_in_any_batch():
+    # An element of the pooled-action kernel, of sigma_many on both anchors
+    # and of every line_pass field depends on its own inputs alone: it equals
+    # its one-element call bit for bit, and the kernels' scalar calls too.
+    rng = np.random.default_rng(21)
+    for shape in AGREEMENT_SHAPES:
+        d = SenderDist(*shape, 3.0)
+        for a in (0.0, 0.3, 0.5, 0.9):
+            for q in (1.0, 1.5, 2.0):
+                p = ModelParams(a=a, q=q)
+                z = np.sort(rng.uniform(EFFECTIVE_ZERO, 3.0, 6))
+                edge = SeparatingPath(p, 0.0, d.zbar)
+                inner = SeparatingPath(p, float(rng.uniform(0.05, 1.0)), d.zbar)
+                z_in = rng.uniform(inner.z_l, d.zbar, 6)
+                sig = edge.sigma_many(z)
+                ez = d.tail_moments(z, q)[0]
+                kernel = _pooled_action_rhs(p, sig, z, ez)
+                for path, zs in ((edge, z), (inner, z_in)):
+                    many = path.sigma_many(zs)
+                    for i, zi in enumerate(zs.tolist()):
+                        want = _bits(many[i])
+                        assert _bits(path.sigma_many(zs[i:i + 1])) == want, (p, d, path, zi)
+                        assert _bits(path.sigma_tilde(zi)) == want, (p, d, path, zi)
+                for i in range(z.size):
+                    one = _pooled_action_rhs(p, sig[i:i + 1], z[i:i + 1], ez[i:i + 1])
+                    scalar = _pooled_action_rhs(p, *(float(v[i]) for v in (sig, z, ez)))
+                    for got in (one, scalar):
+                        assert list(map(_bits, got)) == [_bits(k[i]) for k in kernel], (p, d, i)
+                points = np.append(z, [3.0 - 1e-3, 3.0 - 1e-10])
+                full = line_pass(p, d, points)
+                for i in range(points.size):
+                    single = line_pass(p, d, points[i:i + 1])
+                    for field, got, want in zip(full._fields, single, full):
+                        got, want = np.asarray(got), np.asarray(want)
+                        assert _bits(got[..., 0]) == _bits(want[..., i]), (p, d, i, field)

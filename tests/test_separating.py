@@ -6,10 +6,11 @@ from scipy.integrate import solve_ivp
 from scipy.optimize import brentq
 
 from delegate_opt import ModelParams, SenderDist, SeparatingPath, model, s_lower
-from delegate_opt.errors import DomainError
+from delegate_opt.errors import ConvergenceError, DomainError
 from delegate_opt.quadrature import integrate
+from delegate_opt.separating import newton_blocks
 
-from conftest import random_admissible
+from conftest import c_s, random_admissible, v_s, v_z
 
 
 def entry_action_by_bisection(p: ModelParams, z_l: float) -> float:
@@ -35,7 +36,7 @@ def tau_by_value(path: SeparatingPath, s: float) -> float:
     def integrand(y):
         mu = path.mu_tilde(y)
         x = model.match_n(p, mu)
-        return model.v_s(p, x, y, mu) + model.v_z(p, x, y, mu) * path.mu_prime(y)
+        return v_s(p, x, y, mu) + v_z(p, x, y, mu) * path.mu_prime(y)
 
     return path.t_l + integrate(integrand, path.s_l, s)
 
@@ -110,8 +111,8 @@ class TestBelief:
             def rhs(s, mu):
                 x = model.match_n(params, mu[0])
                 return [
-                    (model.c_s(params, s, mu[0]) - model.v_s(params, x, s, mu[0]))
-                    / model.v_z(params, x, s, mu[0])
+                    (c_s(params, s, mu[0]) - v_s(params, x, s, mu[0]))
+                    / v_z(params, x, s, mu[0])
                 ]
 
             sol = solve_ivp(
@@ -137,11 +138,11 @@ class TestOdeResidual:
                 mu = path.mu_tilde(s)
                 x = model.match_n(p, mu)
                 resid = (
-                    model.v_s(p, x, s, mu)
-                    + model.v_z(p, x, s, mu) * path.mu_prime(s)
-                    - model.c_s(p, s, mu)
+                    v_s(p, x, s, mu)
+                    + v_z(p, x, s, mu) * path.mu_prime(s)
+                    - c_s(p, s, mu)
                 )
-                assert abs(resid) <= 1e-6 * max(1.0, abs(model.c_s(p, s, mu)))
+                assert abs(resid) <= 1e-6 * max(1.0, abs(c_s(p, s, mu)))
 
 
 class TestAction:
@@ -234,8 +235,8 @@ class TestWage:
             for s in np.linspace(path.s_l + 0.05 * (s_top - path.s_l), s_top, 20):
                 mu = path.mu_tilde(s)
                 x = model.match_n(p, mu)
-                receiver = model.v_s(p, x, s, mu) + model.v_z(p, x, s, mu) * path.mu_prime(s)
-                sender = model.c_s(p, s, mu)
+                receiver = v_s(p, x, s, mu) + v_z(p, x, s, mu) * path.mu_prime(s)
+                sender = c_s(p, s, mu)
                 assert receiver == pytest.approx(sender, rel=1e-8, abs=1e-8)
 
     def test_domain_error_beyond_top(self, baseline):
@@ -317,3 +318,22 @@ def test_nan_and_overflow_are_domain_errors(call):
     # x > hi lets NaN pass, and one written as x > lo lets inf pass.
     with pytest.raises(DomainError):
         call()
+
+
+def test_newton_blocks_keeps_each_element_at_its_own_block():
+    # x <- x - (x - 1)/2 halves the distance to 1 at every step. From 2, the
+    # step first meets 1e-6 x at step 20, the end of the fifth block of 4;
+    # from 1e6 + 1 at step 40. In one batch, the first element keeps its
+    # fifth block's result, as alone. An element that never converges
+    # raises after the 100-step budget, with the caller's message.
+    def halve(x):
+        return 0.5 * (x - 1.0)
+
+    alone = newton_blocks(halve, np.array([2.0]), 1e-6, "halve")
+    batch = newton_blocks(halve, np.array([2.0, 1e6 + 1.0]), 1e-6, "halve")
+    assert alone[0] == batch[0] == 1.0 + 2.0**-20
+    assert batch[1] == 1.0 + 1e6 * 2.0**-40
+    steps = []
+    with pytest.raises(ConvergenceError, match="stuck"):
+        newton_blocks(lambda x: steps.append(x) or np.ones_like(x), np.ones(2), 1e-12, "stuck")
+    assert len(steps) == 100
