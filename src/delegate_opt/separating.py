@@ -14,7 +14,9 @@ bracket (``newton_blocks``, the loop that the pooled action shares). The
 wage tau is the integral of the marginal cost 2 beta s / mu(s) along the
 path, which by the envelope argument equals the receiver-side marginal-value
 integrand. It has a closed form: a power law when z_l = 0, a Gauss
-hypergeometric function (DLMF 15.2) when z_l > 0.
+hypergeometric function (DLMF 15.2) when z_l > 0. The surplus integrals
+over the separating region run over the type through sigma, so nothing in
+the package differentiates mu.
 """
 
 from __future__ import annotations
@@ -124,16 +126,7 @@ class SeparatingPath:
             s, -p.a * (2.0 + p.q)
         )
 
-    def _poly_prime(self, s):
-        p = self.params
-        out = (2.0 - p.a) * self.c1 * np.power(s, 1.0 - p.a)
-        if self._kappa != 0.0 and p.a != 0.0:
-            out = out - p.a * (2.0 + p.q) * self._kappa * np.power(
-                s, -p.a * (2.0 + p.q) - 1.0
-            )
-        return out
-
-    # -- belief and its derivative ------------------------------------------
+    # -- the belief ----------------------------------------------------------
 
     def mu_tilde(self, s):
         """Market belief mu(s) about the sender type choosing action s."""
@@ -147,15 +140,6 @@ class SeparatingPath:
             out = self._B * np.power(s_arr, self._m)
         else:
             out = np.power(self._poly(s_arr), 1.0 / q2)
-        return float(out) if np.ndim(s) == 0 else out
-
-    def mu_prime(self, s):
-        """d mu / d s, analytic from the closed form (s > s_l or z_l > 0)."""
-        s_arr = np.asarray(s, dtype=float)
-        if not ((s_arr > 0.0) & (s_arr < math.inf)).all():
-            raise DomainError("mu_prime needs a finite s > 0")
-        q2 = 2.0 + self.params.q
-        out = self._poly_prime(s_arr) / (q2 * np.power(self._poly(s_arr), (q2 - 1.0) / q2))
         return float(out) if np.ndim(s) == 0 else out
 
     # -- the inverse action function -----------------------------------------

@@ -16,15 +16,10 @@ difference of regularized incomplete betas:
     sep = K zbar^P B(alpha+P, beta)/B(alpha, beta)
           * (I_{z_hi/zbar} - I_{z_lo/zbar})(alpha+P, beta)
 
-On a path anchored at z_l > 0, sigma has no closed form but its inverse mu
-does, so the separating part is integrated over the action instead of the
-type (z = mu(s), dz = mu'(s) ds):
-
-    sep = int_{sigma(z_lo)}^{sigma(z_hi)}
-              (A k mu^(q+1) s^a - beta s^2 / mu) g(mu) mu'(s) ds
-
-by QUADPACK's QAGS, whose extrapolation handles the (zbar - z)^(beta-1)
-endpoint singularity of Beta shapes below 1; only the two limits invert mu.
+On a path anchored at z_l > 0, sigma has no closed form, so the separating
+density above is integrated over the type by QUADPACK's QAGS, whose
+extrapolation handles the (zbar - z)^(beta-1) endpoint singularity of Beta
+shapes below 1; each node inverts mu by ``sigma_tilde``.
 The pooling part takes its tail integrals from the closed forms in
 ``distributions``. Transfers cancel, so nothing here reads wages.
 
@@ -51,7 +46,7 @@ from .distributions import _TINY, EFFECTIVE_ZERO, SenderDist, _betaln
 from .errors import DomainError
 from .model import ModelParams
 from .quadrature import integrate
-from .separating import SeparatingPath
+from .separating import _DOMAIN_SLACK, SeparatingPath
 from .thresholds import _TOP_GUARD
 
 
@@ -74,17 +69,20 @@ def sep_part(
     """Net surplus density integrated over a slice of the separating region.
 
     Closed form on a path anchored at z_l = 0, where z_lo and z_hi may be
-    arrays; adaptive quadrature over the action on any other path.
+    arrays; adaptive quadrature over the type on any other path, whose
+    limits must lie in sigma's domain [z_l, zbar].
     """
     if path.z_l > 0.0:
+        lo, hi = path.z_l - _DOMAIN_SLACK, path.zbar * (1.0 + _DOMAIN_SLACK)
+        if not (lo <= z_lo <= hi and lo <= z_hi <= hi):
+            raise DomainError(f"limits ({z_lo}, {z_hi}) outside [z_l, zbar] of {path}")
 
-        def density(s: float) -> float:
-            mu = path.mu_tilde(s)
-            net = p.A * p.k * mu ** (p.q + 1.0) * s**p.a - p.beta_cost * s**2 / mu
-            return net * d.pdf(mu) * path.mu_prime(s)
+        def density(z: float) -> float:
+            sig = path.sigma_tilde(z)
+            net = p.A * p.k * z ** (p.q + 1.0) * sig**p.a - p.beta_cost * sig**2 / z
+            return net * d.pdf(z)
 
-        s_lo, s_hi = path.sigma_many(np.array([z_lo, z_hi], dtype=float))
-        return integrate(density, s_lo, s_hi)
+        return integrate(density, z_lo, z_hi)
     e = 1.0 / (2.0 - p.a)
     power = (2.0 + 2.0 * p.q + p.a) * e
     k_net = p.A * p.k * path.c1 ** (-p.a * e) - p.beta_cost * path.c1 ** (-2.0 * e)

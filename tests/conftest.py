@@ -70,6 +70,18 @@ def c_z(p: ModelParams, s, z):
     return -p.beta_cost * np.power(s, 2.0) / np.asarray(z, dtype=float) ** 2
 
 
+def mu_prime(path: SeparatingPath, s):
+    """d mu / d s on the path, analytic from the closed form of mu^(2+q);
+    the ODE checks' reference, as no package code differentiates mu."""
+    p, q2 = path.params, 2.0 + path.params.q
+    s = np.asarray(s, dtype=float)
+    poly_prime = (2.0 - p.a) * path.c1 * np.power(s, 1.0 - p.a)
+    if path._kappa != 0.0 and p.a != 0.0:
+        poly_prime = poly_prime - p.a * q2 * path._kappa * np.power(s, -p.a * q2 - 1.0)
+    out = poly_prime / (q2 * np.power(path._poly(s), (q2 - 1.0) / q2))
+    return float(out) if out.ndim == 0 else out
+
+
 def sep_cells(
     p: ModelParams, d: SenderDist, path: SeparatingPath, edges: np.ndarray
 ) -> tuple[np.ndarray, int]:

@@ -29,7 +29,9 @@ from delegate_opt import (
 from delegate_opt.harness import CSV_COLUMNS, load_golden, rows_to_csv, run_design
 from delegate_opt.thresholds import POOLING, STRICTLY_WELL_BEHAVED
 
-from conftest import BASELINE_SHAPES, brute_force_triangle, c_s, random_admissible, v_s, v_z
+from conftest import (
+    BASELINE_SHAPES, brute_force_triangle, c_s, mu_prime, random_admissible, v_s, v_z,
+)
 
 
 def _report(criterion: int, name: str, failures: list[str]) -> None:
@@ -229,7 +231,7 @@ def test_criterion_09_analytic_invariants(rng):
             x = model.match_n(p, mu)
             resid = (
                 v_s(p, x, s, mu)
-                + v_z(p, x, s, mu) * path.mu_prime(s)
+                + v_z(p, x, s, mu) * mu_prime(path, s)
                 - c_s(p, s, mu)
             )
             if abs(resid) > 1e-6 * max(1.0, abs(c_s(p, s, mu))):

@@ -229,6 +229,14 @@ class TestDiagnose:
         last = [float(v) for v in lines[-1].split(",")]
         assert last[0] == 3.0 and last[1] == pytest.approx(9.0)
 
+    def test_out_file_matches_stdout(self, tmp_path, capsys):
+        assert run_cli("diagnose", "--grid", "3") == 0
+        printed = capsys.readouterr().out
+        out = tmp_path / "diag.csv"
+        assert run_cli("diagnose", "--grid", "3", "--out", str(out)) == 0
+        assert capsys.readouterr().out == ""
+        assert out.read_bytes() == printed.encode()
+
     @pytest.mark.parametrize("grid", ["0", "-1"])
     def test_empty_grid_is_config_error(self, grid, capsys):
         # --grid -1 used to die in numpy's linspace with a ValueError.

@@ -5,6 +5,7 @@ import dataclasses
 import pytest
 
 from delegate_opt import harness
+from delegate_opt.distributions import _betaln
 from delegate_opt.errors import ConfigError
 from delegate_opt.harness import (
     DESIGN_TOLERANCES,
@@ -184,3 +185,15 @@ def test_cell_deviation_properties():
     assert cell.ok and cell.deviation == pytest.approx(0.015)
     report = GoldenReport([cell])
     assert report.ok
+
+
+def test_design_rows_fit_the_betaln_cache():
+    # The five sweeps cycle through their betaln keys in order, so an LRU
+    # cache a few keys too small misses on every call of every sweep.
+    _betaln.cache_clear()
+    for design in range(1, 6):
+        run_design(design)
+    first = _betaln.cache_info()
+    for design in range(1, 6):
+        run_design(design)
+    assert _betaln.cache_info().misses == first.misses, first

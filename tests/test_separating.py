@@ -5,12 +5,17 @@ import pytest
 from scipy.integrate import solve_ivp
 from scipy.optimize import brentq
 
-from delegate_opt import ModelParams, SenderDist, SeparatingPath, model, s_lower
+from delegate_opt import (
+    ModelParams, SenderDist, SeparatingPath, Thresholds, invert_floor, model, pooling_star,
+    s_lower,
+)
 from delegate_opt.errors import ConvergenceError, DomainError
 from delegate_opt.quadrature import integrate
 from delegate_opt.separating import newton_blocks
+from delegate_opt.surplus import sep_part
+from delegate_opt.thresholds import STRICTLY_WELL_BEHAVED
 
-from conftest import c_s, random_admissible, v_s, v_z
+from conftest import c_s, mu_prime, random_admissible, v_s, v_z
 
 
 def entry_action_by_bisection(p: ModelParams, z_l: float) -> float:
@@ -36,7 +41,7 @@ def tau_by_value(path: SeparatingPath, s: float) -> float:
     def integrand(y):
         mu = path.mu_tilde(y)
         x = model.match_n(p, mu)
-        return v_s(p, x, y, mu) + v_z(p, x, y, mu) * path.mu_prime(y)
+        return v_s(p, x, y, mu) + v_z(p, x, y, mu) * mu_prime(path, y)
 
     return path.t_l + integrate(integrand, path.s_l, s)
 
@@ -139,7 +144,7 @@ class TestOdeResidual:
                 x = model.match_n(p, mu)
                 resid = (
                     v_s(p, x, s, mu)
-                    + v_z(p, x, s, mu) * path.mu_prime(s)
+                    + v_z(p, x, s, mu) * mu_prime(path, s)
                     - c_s(p, s, mu)
                 )
                 assert abs(resid) <= 1e-6 * max(1.0, abs(c_s(p, s, mu)))
@@ -235,7 +240,7 @@ class TestWage:
             for s in np.linspace(path.s_l + 0.05 * (s_top - path.s_l), s_top, 20):
                 mu = path.mu_tilde(s)
                 x = model.match_n(p, mu)
-                receiver = v_s(p, x, s, mu) + v_z(p, x, s, mu) * path.mu_prime(s)
+                receiver = v_s(p, x, s, mu) + v_z(p, x, s, mu) * mu_prime(path, s)
                 sender = c_s(p, s, mu)
                 assert receiver == pytest.approx(sender, rel=1e-8, abs=1e-8)
 
@@ -298,8 +303,6 @@ _PATH0, _PATH1 = SeparatingPath(_P, 0.0, 3.0), SeparatingPath(_P, 0.5, 3.0)
         lambda: _PATH1.tau_tilde(np.nan),
         lambda: _PATH0.mu_tilde(np.nan),
         lambda: _PATH1.mu_tilde(np.nan),
-        lambda: _PATH1.mu_prime(np.nan),
-        lambda: _PATH1.mu_prime(np.inf),
         lambda: _PATH0.mu_tilde(np.inf),
         lambda: _PATH1.mu_tilde(np.inf),
         lambda: s_lower(_P, np.nan),
@@ -308,14 +311,45 @@ _PATH0, _PATH1 = SeparatingPath(_P, 0.0, 3.0), SeparatingPath(_P, 0.5, 3.0)
     ],
     ids=["cdf-nan", "pdf-nan", "pdf-array-nan", "moment-order-nan",
          "moment-order-inf", "moment-overflow", "sigma-nan", "sigma-many-nan",
-         "tau-nan", "tau-nan-z_l", "mu-nan", "mu-nan-z_l", "mu_prime-nan",
-         "mu_prime-inf-z_l", "mu-inf", "mu-inf-z_l",
+         "tau-nan", "tau-nan-z_l", "mu-nan", "mu-nan-z_l", "mu-inf", "mu-inf-z_l",
          "s_lower-nan", "s_lower-inf", "s_lower-overflow"],
 )
 def test_nan_and_overflow_are_domain_errors(call):
     # Each of these returned NaN, inf or (the density) 0, or raised a generic
     # OverflowError or RuntimeWarning: a bound check written as x < lo or
     # x > hi lets NaN pass, and one written as x > lo lets inf pass.
+    with pytest.raises(DomainError):
+        call()
+
+
+_THRESHOLDS = dict(z_l=0.5, z_h=1.0, s_l=0.1, s_h=0.2, t_l=0.1, t_h=0.2, x_h=1.0,
+                   eq_class=STRICTLY_WELL_BEHAVED)
+
+
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda: _D.quantile(1.5),
+        lambda: _D.quantile(np.nan),
+        lambda: _D.partial_moment(-1.0, 1.0),
+        lambda: _D.trunc_mean(-1.0),
+        lambda: _D.trunc_mean(np.nan),
+        lambda: SeparatingPath(_P, 3.0, 3.0),
+        lambda: pooling_star(_P, _D, 3.0),
+        lambda: invert_floor(_P, _D, 1e6),
+        lambda: Thresholds(**dict(_THRESHOLDS, z_l=1.5)),
+        lambda: Thresholds(**dict(_THRESHOLDS, t_h=0.05)),
+        lambda: sep_part(_P, _D, _PATH1, 0.4999, 2.0),
+        lambda: sep_part(_P, _D, _PATH1, 0.5, 3.001),
+        lambda: sep_part(_P, _D, _PATH1, 0.5, np.nan),
+    ],
+    ids=["quantile-above-1", "quantile-nan", "moment-below-support", "trunc-mean-below",
+         "trunc-mean-nan", "path-at-zbar", "pooling-star-at-zbar", "floor-above-top",
+         "thresholds-z_l-above-z_h", "thresholds-t_h-below-t_l", "sep-part-below-z_l",
+         "sep-part-above-zbar", "sep-part-nan"],
+)
+def test_out_of_range_inputs_are_domain_errors(call):
+    # Each bound check that raises here is one no other test reaches.
     with pytest.raises(DomainError):
         call()
 

@@ -3,6 +3,7 @@ from __future__ import annotations
 import math
 from dataclasses import replace
 
+import mpmath
 import numpy as np
 import pytest
 from scipy.integrate import quad
@@ -19,6 +20,7 @@ from delegate_opt import (
     well_behaved_gain,
 )
 from delegate_opt.distributions import EFFECTIVE_ZERO
+from delegate_opt.quadrature import REL_TOL
 from delegate_opt.thresholds import pooled_action
 from delegate_opt.surplus import line_pass, pool_part, sep_part
 
@@ -135,6 +137,45 @@ class TestPiW:
             epsabs=0.0, epsrel=1e-13,
         )
         assert sep_part(p, d, path, z_l, d.zbar) == pytest.approx(want / norm, rel=1e-10)
+
+    @pytest.mark.parametrize(
+        "params, shape, z_l, z_hi",
+        [
+            (ModelParams(a=0.89, q=1.99), (0.57, 1.26, 1.27), 8.37e-3, 0.088),
+            (ModelParams(a=0.73, q=0.55), (1.82, 0.47, 1.30), 1.07e-4, 0.028),
+            (ModelParams(a=0.9, q=1.29), (2.52, 0.67, 1.33), 1.75e-5, 0.088),
+            (ModelParams(a=0.5), (1, 1, 3), 0.01, 1.5),
+        ],
+    )
+    def test_anchored_sep_part_against_mpmath(self, params, shape, z_l, z_hi):
+        # A 30-digit reference from the model's primitives alone: sigma by
+        # findroot on the closed form mu^(2+q) = c1 s^(2-a) + kappa s^(-a(2+q))
+        # between s_l and an action above sigma, and mp.quad over the type.
+        p, d = params, SenderDist(*shape)
+        with mpmath.workdps(30):
+            A, k, beta, a, q = (mpmath.mpf(v) for v in (p.A, p.k, p.beta_cost, p.a, p.q))
+            alpha, b, zbar, zl = (mpmath.mpf(v) for v in (*shape, z_l))
+            q2 = 2 + q
+            c1 = 2 * beta * q2 / (A * k * (2 + a + a * q))
+            s_l = (A * k * zl**q2 / beta) ** (1 / (2 - a))
+            kappa = s_l ** (a * q2) * (zl**q2 - c1 * s_l ** (2 - a))
+            norm = zbar ** (alpha + b - 1) * mpmath.beta(alpha, b)
+
+            def density(z):
+                # A bracket: mu(s_l) = z_l <= z, and at s = above, where
+                # s >= 2 s_l, kappa s^(-a(2+q)) >= -c1 s_l^(2-a) >= -c1 s^(2-a) / 2
+                # while c1 s^(2-a) / 2 >= z^(2+q), as a < 1.
+                above = 2 * (z**q2 / c1) ** (1 / (2 - a)) + 2 * s_l
+                sig = mpmath.findroot(
+                    lambda s: c1 * s ** (2 - a) + kappa * s ** (-a * q2) - z**q2,
+                    (s_l, above), solver="anderson",
+                )
+                net = A * k * z ** (q + 1) * sig**a - beta * sig**2 / z
+                return net * z ** (alpha - 1) * (zbar - z) ** (b - 1) / norm
+
+            want = mpmath.quad(density, [zl, mpmath.mpf(z_hi)])
+        got = sep_part(p, d, SeparatingPath(p, z_l, d.zbar), z_l, z_hi)
+        assert abs(got - want) <= REL_TOL * abs(want)
 
     def test_transfer_free_scaling(self, rng):
         for _ in range(5):
