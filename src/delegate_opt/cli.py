@@ -30,12 +30,24 @@ _CONFIG_KEYS = {"A", "beta", "a", "k", "q", "dist"}
 _DIST_KEYS = {"alpha", "beta", "zbar"}
 
 
+def _number(table: dict, key: str, default: float) -> float:
+    """table[key], or the default, as a float: a JSON number and nothing else."""
+    value = table.get(key, default)
+    # bool is an int to Python, but true is not a JSON number.
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        raise ConfigError(f"bad config value: {key} must be a JSON number, got {value!r}")
+    try:
+        return float(value)
+    except OverflowError as exc:  # an integer literal past the float range
+        raise ConfigError(f"bad config value: {key} overflows a float") from exc
+
+
 def load_config(path: str | None) -> tuple[ModelParams, SenderDist]:
     raw = {}
     if path is not None:
         try:
             raw = json.loads(Path(path).read_text(encoding="utf-8"))
-        except (OSError, json.JSONDecodeError) as exc:
+        except (OSError, ValueError) as exc:  # JSON and UTF-8 decoding errors included
             raise ConfigError(f"cannot read config {path}: {exc}") from exc
     if not isinstance(raw, dict):
         raise ConfigError("config root must be a JSON object")
@@ -47,21 +59,18 @@ def load_config(path: str | None) -> tuple[ModelParams, SenderDist]:
         raise ConfigError(f"dist must be a JSON object, got {dist_raw!r}")
     if set(dist_raw) - _DIST_KEYS:
         raise ConfigError(f"unknown dist keys: {sorted(set(dist_raw) - _DIST_KEYS)}")
-    try:
-        p = ModelParams(
-            A=float(raw.get("A", 1.0)),
-            beta_cost=float(raw.get("beta", 0.5)),
-            a=float(raw.get("a", 0.5)),
-            k=float(raw.get("k", 1.0)),
-            q=float(raw.get("q", 1.0)),
-        )
-        d = SenderDist(
-            alpha=float(dist_raw.get("alpha", 1.0)),
-            beta_shape=float(dist_raw.get("beta", 1.0)),
-            zbar=float(dist_raw.get("zbar", 3.0)),
-        )
-    except (TypeError, ValueError) as exc:
-        raise ConfigError(f"bad config value: {exc}") from exc
+    p = ModelParams(
+        A=_number(raw, "A", 1.0),
+        beta_cost=_number(raw, "beta", 0.5),
+        a=_number(raw, "a", 0.5),
+        k=_number(raw, "k", 1.0),
+        q=_number(raw, "q", 1.0),
+    )
+    d = SenderDist(
+        alpha=_number(dist_raw, "alpha", 1.0),
+        beta_shape=_number(dist_raw, "beta", 1.0),
+        zbar=_number(dist_raw, "zbar", 3.0),
+    )
     return p, d
 
 

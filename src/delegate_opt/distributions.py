@@ -49,7 +49,7 @@ _TINY = np.finfo(float).tiny
 
 
 # Shape constants, memoized: every pass asks for the same few.
-_betaln = lru_cache(maxsize=256)(lambda a, b: float(betaln(a, b)))
+_betaln = lru_cache(maxsize=1024)(lambda a, b: float(betaln(a, b)))
 _ln_beta = lru_cache(maxsize=64)(lambda a, b: math.lgamma(a) + math.lgamma(b) - math.lgamma(a + b))
 
 

@@ -2,16 +2,18 @@
 
 The optimum of {0 <= z_l <= z_h <= zbar} lies on the z_l = 0 edge Pi_w(0, z_h)
 or on the pooling diagonal Pi_p(z). One array pass (``surplus.line_pass``)
-gives both lines' values and closed-form slopes. Stage one scans both on a
-61-point grid, 121 cells in all, in one pass, whose distribution side (tail
-moments and density, ``surplus.dist_side``) depends on (d, q) alone and comes
-from a cache of 128 such keys. Stage two solves for a root of each
-line's slope in the grid cells around its best cell, both lines in lockstep,
-one pass per round, from the root of the quintic Hermite fit of those cells'
-values and slopes; a root replaces the current optimum whenever its value is
-higher, the grid best's own line first. The returned record is built (unless
-Pooling or Separating) and priced from the pass that evaluated its point.
-No stage calls adaptive quadrature, and reruns reproduce a result bitwise.
+gives both lines' values and closed-form slopes at every point. Stage one
+scans both on a 61-point grid, 121 cells in all, plus a probe EFFECTIVE_ZERO
+inside each end, in one pass, whose distribution side (tail moments and
+density, ``surplus.dist_side``) depends on (d, q) alone and comes from a cache
+of 256 such keys. Stage two solves for a root of each line's slope in the
+grid cells around its best cell, a grid end replaced by its probe, both lines
+in lockstep, one pass per round, from the root of the quintic Hermite fit of
+those cells' values and slopes; a root replaces the current optimum whenever
+its value is higher, the grid best's own line first. The returned record is
+built (unless Pooling or Separating) and priced from the pass that evaluated
+its point. No stage calls adaptive quadrature, and reruns reproduce a result
+bitwise.
 """
 
 from __future__ import annotations
@@ -35,6 +37,7 @@ _CERT_TOL = 1e-8
 _LINES = ("diag", "edge")
 _GRID = 61  # scan points per line
 _TOL = 1e-6  # width below which a root search ends
+_PROBE = {0: _GRID, _GRID - 1: _GRID + 1}  # a grid end's probe in the scan
 
 
 @dataclass(frozen=True)
@@ -102,25 +105,19 @@ def _root_search(z: list, f: list, s: list, tol: float):
     """Bracketed root of a line's slope: a generator that yields each round's
     points and is sent back their (values, slopes), all lists of floats.
 
-    ``z``, ``f``, ``s`` hold the line's best grid cell and its neighbours; an
-    end pulled inside [EFFECTIVE_ZERO, zbar - EFFECTIVE_ZERO], where
-    ``classify`` snaps, has a NaN slope that a first round fills. The bracket
-    is the cell the best cell's slope points into. A round evaluates v and
-    v -/+ tol/2; a sign change of the slope across them ends the search on
-    their best point. The first v is the Hermite seed (``_hermite``), or at a
-    clipped or repeated grid end the root of the quadratic z(s) through the
+    ``z``, ``f``, ``s`` hold the line's best grid cell and its neighbours,
+    a grid end replaced by its probe inside [EFFECTIVE_ZERO,
+    zbar - EFFECTIVE_ZERO], where ``classify`` snaps. The bracket is the cell
+    the best cell's slope points into. A round evaluates v and v -/+ tol/2;
+    a sign change of the slope across them ends the search on their best
+    point. The first v is the Hermite seed (``_hermite``), or next to a probe
+    or at a repeated grid end the root of the quadratic z(s) through the
     three slopes; each later v that through the outer two and the far end
     (Brent 1973). Outside the bracket, regula falsi, or bisection (in log z
     past a factor 4) if the last round did not halve it. Returns (z, value,
     slope, root); with no sign change across the bracket, its better end
     (root False).
     """
-    nan = [k for k in range(3) if math.isnan(s[k])]
-    if nan:
-        x = sorted({z[k] for k in nan})
-        fx, sx = yield x
-        for k in nan:
-            f[k], s[k] = fx[x.index(z[k])], sx[x.index(z[k])]
     k = 1 if s[1] > 0.0 else 0
     lo, hi = (z[k], f[k], s[k]), (z[k + 1], f[k + 1], s[k + 1])
     if not lo[2] > 0.0 > hi[2]:
@@ -146,11 +143,12 @@ def _root_search(z: list, f: list, s: list, tol: float):
 
 def _refine(p: ModelParams, d: SenderDist, searches: dict, where: dict) -> tuple[dict, int]:
     """Run one search per line in lockstep, each round in one ``line_pass``
-    that evaluates each line at its own points; ``where`` gets the pass and
-    index of each (line, point). Returns the results and the points used."""
+    at all the round's points, of which each line reads its own; ``where``
+    gets the pass and index of each (line, point). Returns the results and
+    the points used."""
     results, replies, n_evals = {}, dict.fromkeys(searches), 0
     for _ in range(100):
-        spans, points = dict.fromkeys(_LINES, slice(0)), []
+        spans, points = {}, []
         for line, search in searches.items():
             if line not in results:
                 try:
@@ -162,7 +160,7 @@ def _refine(p: ModelParams, d: SenderDist, searches: dict, where: dict) -> tuple
                 points += x
         if not points:
             return results, n_evals
-        lp = sp.line_pass(p, d, points, **spans)
+        lp = sp.line_pass(p, d, points)
         for line, span in spans.items():
             replies[line] = tuple(f[span].tolist() for f in getattr(lp, line))
             where.update(((line, points[i]), (lp, i)) for i in range(len(points))[span])
@@ -170,10 +168,11 @@ def _refine(p: ModelParams, d: SenderDist, searches: dict, where: dict) -> tuple
     raise ConvergenceError("refinement did not bracket a root of the slope")
 
 
-@lru_cache(maxsize=128)
+@lru_cache(maxsize=256)
 def _scan_side(d: SenderDist, q: float) -> tuple[np.ndarray, sp.DistSide]:
-    """The scan grid and its ``dist_side``, read-only: shared by equal (d, q)."""
-    grid = np.linspace(0.0, d.zbar, _GRID)
+    """The scan points and their ``dist_side``, read-only: shared by equal
+    (d, q). The _GRID grid points, then a probe inside each end."""
+    grid = np.append(np.linspace(0.0, d.zbar, _GRID), (EFFECTIVE_ZERO, d.zbar - EFFECTIVE_ZERO))
     side = sp.dist_side(d, q, grid)
     for a in (grid, *side.moments, *side[1:]):
         a.flags.writeable = False
@@ -183,13 +182,11 @@ def _scan_side(d: SenderDist, q: float) -> tuple[np.ndarray, sp.DistSide]:
 def optimize(p: ModelParams, d: SenderDist) -> DelegationOutcome:
     """Solve the planner's problem: argmax of the net surplus over thresholds."""
     grid, side = _scan_side(d, p.q)
-    scan = sp.line_pass(p, d, grid, edge=slice(1, None), side=side)
-    for edge, diag in zip(scan.edge, scan.diag):
-        edge[0] = diag[0]  # the corner (0, 0) lies on both lines
+    scan = sp.line_pass(p, d, grid, side=side)
     # The search's bookkeeping runs on Python floats, not NumPy scalars.
     zs = grid.tolist()
     lines = {name: tuple(f.tolist() for f in getattr(scan, name)) for name in _LINES}
-    gi, gj, g_val, tie_break, flat = _best(lines["edge"][0], lines["diag"][0])
+    gi, gj, g_val, tie_break, flat = _best(lines["edge"][0][:_GRID], lines["diag"][0][:_GRID])
     line = "diag" if gi == gj else "edge"
     z_h, val, at = zs[gj], g_val, (scan, gj)
     slope = lines[line][1][gj]
@@ -198,12 +195,10 @@ def optimize(p: ModelParams, d: SenderDist) -> DelegationOutcome:
         values, slopes = lines[name]
         # The line's best cell, past the corner on the edge: the larger z on ties.
         first = int(name == "edge")
-        top = max(values[first:])
+        top = max(values[first:_GRID])
         c = next(i for i in range(_GRID - 1, -1, -1) if values[i] >= top - _TIE_TOL)
-        k = (max(c - 1, 0), c, min(c + 1, _GRID - 1))
-        z = [min(max(zs[i], EFFECTIVE_ZERO), d.zbar - EFFECTIVE_ZERO) for i in k]
-        s_k = [slopes[i] if z_i == zs[i] else math.nan for i, z_i in zip(k, z)]
-        searches[name] = _root_search(z, [values[i] for i in k], s_k, _TOL)
+        k = [_PROBE.get(i, i) for i in (max(c - 1, 0), c, min(c + 1, _GRID - 1))]
+        searches[name] = _root_search(*([a[i] for i in k] for a in (zs, values, slopes)), _TOL)
         where.update(((name, zs[i]), (scan, i)) for i in k)
     results, refine_evals = _refine(p, d, searches, where)
     # The tie tolerance guards only points that are not roots, such as
@@ -229,7 +224,7 @@ def optimize(p: ModelParams, d: SenderDist) -> DelegationOutcome:
         "grid_best": {"z_l": zs[gi], "z_h": zs[gj], "value": g_val},
         "refine_method": line,
         "refine_evals": refine_evals,
-        "n_grid_evals": 2 * _GRID - 1,
+        "n_grid_evals": 2 * _GRID - 1,  # grid cells; the scan also evaluates the probes
         "tie_break_applied": tie_break,
         "flat_objective": flat,
         "certificate": float(breakdown.total - g_val),
@@ -247,6 +242,6 @@ def optimize(p: ModelParams, d: SenderDist) -> DelegationOutcome:
         interval=(record.t_l, record.t_h),
         surplus=breakdown,
         percentile_zh=d.cdf(record.z_h),
-        pi_s=float(scan.edge[0][-1]),
+        pi_s=float(scan.edge[0][_GRID - 1]),
         diagnostics=diagnostics,
     )

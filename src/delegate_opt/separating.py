@@ -117,15 +117,6 @@ class SeparatingPath:
     def _B(self) -> float:
         return self.c1 ** (1.0 / (2.0 + self.params.q))
 
-    def _poly(self, s):
-        """mu(s)^(2+q)."""
-        p = self.params
-        if self._kappa == 0.0:
-            return self.c1 * np.power(s, 2.0 - p.a)
-        return self.c1 * np.power(s, 2.0 - p.a) + self._kappa * np.power(
-            s, -p.a * (2.0 + p.q)
-        )
-
     # -- the belief ----------------------------------------------------------
 
     def mu_tilde(self, s):
@@ -135,11 +126,12 @@ class SeparatingPath:
         if not ((s_arr >= lo) & (s_arr < math.inf)).all():
             raise DomainError(f"mu undefined below the entry action s_l={self.s_l} or at inf")
         s_arr = np.maximum(s_arr, self.s_l)
-        q2 = 2.0 + self.params.q
+        a, q2 = self.params.a, 2.0 + self.params.q
         if self.z_l == 0.0:
             out = self._B * np.power(s_arr, self._m)
-        else:
-            out = np.power(self._poly(s_arr), 1.0 / q2)
+        else:  # mu^(2+q) = c1 s^(2-a) + kappa s^(-a(2+q))
+            poly = self.c1 * np.power(s_arr, 2.0 - a) + self._kappa * np.power(s_arr, -a * q2)
+            out = np.power(poly, 1.0 / q2)
         return float(out) if np.ndim(s) == 0 else out
 
     # -- the inverse action function -----------------------------------------

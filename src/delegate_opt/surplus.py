@@ -28,8 +28,10 @@ induces, and ``surplus_of`` prices its record (``surplus_from`` alone,
 when a ``line_pass`` already holds the pieces). So ``pi_w`` snaps as
 ``classify`` does: a pair within EFFECTIVE_ZERO of the diagonal is priced as
 pooling, and a z_h within EFFECTIVE_ZERO of zbar as separating. The breakdown
-carries the record's z_l and z_h. A ``line_pass`` prices both lines from its
-points' ``dist_side``, the part that depends on (d, q, z) alone.
+carries the record's z_l and z_h. A ``line_pass`` prices both lines at each
+of its points, from their ``dist_side``, the part that depends on (d, q, z)
+alone; below EFFECTIVE_ZERO its edge is the pooling corner, as ``classify``
+snaps it.
 """
 
 from __future__ import annotations
@@ -152,9 +154,9 @@ def pi_p(p: ModelParams, d: SenderDist, z_star: float) -> float:
     return pool_part(p, d, z_star, s_star)
 
 
-# line_pass at points z: edge is (Pi_w(0, z), slope) and diag (Pi_p(z), slope),
-# NaN off the line's points; sep, sig and s_h are the edge's separating part,
-# sigma(z) and pooled action, and moments is d.tail_moments(z, p.q).
+# line_pass at points z: edge is (Pi_w(0, z), slope) and diag (Pi_p(z), slope);
+# sep, sig and s_h are the edge's separating part, sigma(z) and pooled action,
+# NaN where it solves no top system, and moments is d.tail_moments(z, p.q).
 LinePass = namedtuple("LinePass", "z moments sep sig s_h edge diag")
 # dist_side at points z: moments is d.tail_moments(z, q), dez the tail mean's
 # slope E' = g (E - z)/P(z >= z), z_q is z^q and top the top-guard mask.
@@ -169,62 +171,58 @@ def dist_side(d: SenderDist, q: float, z: np.ndarray) -> DistSide:
     return DistSide(moments, dez, z**q, z >= d.zbar - _TOP_GUARD)
 
 
-def line_pass(p: ModelParams, d: SenderDist, z: np.ndarray, edge: slice = slice(None),
-              diag: slice = slice(None), side: DistSide | None = None) -> LinePass:
-    """The z_l = 0 edge at z[edge] (z > 0) and the pooling diagonal at z[diag]
-    (z in [0, zbar]), values and slopes, in one batch.
+def line_pass(p: ModelParams, d: SenderDist, z: np.ndarray,
+              side: DistSide | None = None) -> LinePass:
+    """The z_l = 0 edge and the pooling diagonal at every z in [0, zbar],
+    values and slopes, in one batch.
 
     Both lines share one distribution side ``side``, ``dist_side(d, p.q, z)``
-    unless given; an empty slice skips its line.
-
-    Edge: the value is ``pi_w(p, d, 0, z).total``. In the slope
-    K z^P g + dPool/dz, K z^P g cancels the pooled density the tail loses by
-    the top equation F = X - beta s^2/z - rhs(z) = 0, X = A k s^a z^q E. The
-    rest moves s_h by -F_z/F_s, with s F_s = (a-2) X + 2 rhs and
-    z F_z = X (q+1 + z E'/E) - (P+1) rhs, and E by E'. It is 0 in the top
-    guard, where the value is Pi_s.
+    unless given.
 
     Diagonal: the value is ``pi_p(p, d, z)``, with ``pooling_star``'s closed
     form s*, zero below EFFECTIVE_ZERO. As beta s*^2 = A k s*^a z^(q+1) E,
     Pi_p = A k s*^a E W with W = M_q - z^(q+1) M_inv, whose slope is
     Pi_p (a (q+1)/z + 2 E'/E)/(2-a) + A k s*^a E W', W' = -(q+1) z^q M_inv;
     0 where the value is constant: below EFFECTIVE_ZERO and in the top guard.
+
+    Edge: the value is ``pi_w(p, d, 0, z).total``. In the slope
+    K z^P g + dPool/dz, K z^P g cancels the pooled density the tail loses by
+    the top equation F = X - beta s^2/z - rhs(z) = 0, X = A k s^a z^q E. The
+    rest moves s_h by -F_z/F_s, with s F_s = (a-2) X + 2 rhs and
+    z F_z = X (q+1 + z E'/E) - (P+1) rhs, and E by E'. It is 0 in the top
+    guard, where the value is Pi_s. Below EFFECTIVE_ZERO the edge is the
+    pooling corner, as ``classify`` snaps it: the diagonal's value and slope.
     """
     z = np.asarray(z, dtype=float)
     side = dist_side(d, p.q, z) if side is None else side
     (ez, m_q, m_inv, _), dez, z_q, top = side
-    sep, e_sig, e_s, e_val, e_slope, d_val, d_slope = np.full((7, z.size), np.nan)
+    low = z < EFFECTIVE_ZERO
     with np.errstate(divide="ignore", invalid="ignore"):
-        zs, e, w_q, w_inv = z[diag], ez[diag], m_q[diag], m_inv[diag]
-        if zs.size:
-            low, cap = zs < EFFECTIVE_ZERO, top[diag]
-            s_star = thresholds._s_star(p, zs, e)
-            s_star[low] = 0.0
-            value = _pooled_net(p, s_star, e, w_q, w_inv)
-            rate = p.a * (p.q + 1.0) / zs + 2.0 * dez[diag] / e
-            d_w = -(p.q + 1.0) * z_q[diag] * w_inv
-            slope = value * rate / (2.0 - p.a) + p.A * p.k * np.power(s_star, p.a) * e * d_w
-            value[cap], slope[low | cap] = 0.0, 0.0
-            d_val[diag], d_slope[diag] = value, slope
-    if z[edge].size:
-        path = SeparatingPath(p, 0.0, d.zbar)
-        sep[edge] = sep_part(p, d, path, 0.0, np.where(top[edge], d.zbar, z[edge]))
-        inner = ~top[edge]
-        inner = slice(None) if inner.all() else inner  # no top-guard point: no mask
-        value, slope = e_val[edge], e_slope[edge]  # views
-        value[:], slope[:] = sep[edge], 0.0
-        zs, e, w_q, w_inv, de = (a[edge][inner] for a in (z, ez, m_q, m_inv, dez))
-        sig = path.sigma_many(zs)
-        s, rhs = thresholds._pooled_action_rhs(p, sig, zs, e)
-        e_sig[edge][inner], e_s[edge][inner] = sig, s
-        value[inner] += _pooled_net(p, s, e, w_q, w_inv)
-        power = (2.0 + 2.0 * p.q + p.a) / (2.0 - p.a)
-        lead = p.A * p.k * np.power(s, p.a)
-        x = lead * z_q[edge][inner] * e
-        z_f_z = x * (p.q + 1.0 + zs * de / e) - (power + 1.0) * rhs
-        # s dPool/ds, with beta s^2 = (X - rhs) z.
-        s_d_pool = p.a * lead * e * w_q - 2.0 * (x - rhs) * zs * w_inv
-        slope[inner] = lead * de * w_q - z_f_z * s_d_pool / (zs * ((p.a - 2.0) * x + 2.0 * rhs))
+        s_star = thresholds._s_star(p, z, ez)
+        s_star[low] = 0.0
+        d_val = _pooled_net(p, s_star, ez, m_q, m_inv)
+        rate = p.a * (p.q + 1.0) / z + 2.0 * dez / ez
+        d_w = -(p.q + 1.0) * z_q * m_inv
+        d_slope = d_val * rate / (2.0 - p.a) + p.A * p.k * np.power(s_star, p.a) * ez * d_w
+    d_val[top], d_slope[low | top] = 0.0, 0.0
+    path = SeparatingPath(p, 0.0, d.zbar)
+    sep = sep_part(p, d, path, 0.0, np.where(top, d.zbar, z))
+    e_val, e_slope = np.where(low, d_val, sep), np.where(low, d_slope, 0.0)
+    e_sig, e_s = np.full((2, z.size), np.nan)
+    inner = ~(low | top)
+    inner = slice(None) if inner.all() else inner  # no end point: no mask
+    zs, e, w_q, w_inv, de = (a[inner] for a in (z, ez, m_q, m_inv, dez))
+    sig = path.sigma_many(zs)
+    s, rhs = thresholds._pooled_action_rhs(p, sig, zs, e)
+    e_sig[inner], e_s[inner] = sig, s
+    e_val[inner] += _pooled_net(p, s, e, w_q, w_inv)
+    power = (2.0 + 2.0 * p.q + p.a) / (2.0 - p.a)
+    lead = p.A * p.k * np.power(s, p.a)
+    x = lead * z_q[inner] * e
+    z_f_z = x * (p.q + 1.0 + zs * de / e) - (power + 1.0) * rhs
+    # s dPool/ds, with beta s^2 = (X - rhs) z.
+    s_d_pool = p.a * lead * e * w_q - 2.0 * (x - rhs) * zs * w_inv
+    e_slope[inner] = lead * de * w_q - z_f_z * s_d_pool / (zs * ((p.a - 2.0) * x + 2.0 * rhs))
     return LinePass(z, side.moments, sep, e_sig, e_s, (e_val, e_slope), (d_val, d_slope))
 
 

@@ -78,7 +78,7 @@ def mu_prime(path: SeparatingPath, s):
     poly_prime = (2.0 - p.a) * path.c1 * np.power(s, 1.0 - p.a)
     if path._kappa != 0.0 and p.a != 0.0:
         poly_prime = poly_prime - p.a * q2 * path._kappa * np.power(s, -p.a * q2 - 1.0)
-    out = poly_prime / (q2 * np.power(path._poly(s), (q2 - 1.0) / q2))
+    out = poly_prime / (q2 * np.power(path.mu_tilde(s), q2 - 1.0))
     return float(out) if out.ndim == 0 else out
 
 

@@ -42,13 +42,22 @@ class TestConfig:
          ('{"dist": [1, 1, 3]}', "dist must be a JSON object"),
          ('{"dist": {"gamma": 1}}', "unknown dist keys: ['gamma']"),
          ('{"A": "x"}', "bad config value"),
-         ('{"dist": {"zbar": [3]}}', "bad config value")],
+         ('{"dist": {"zbar": [3]}}', "bad config value"),
+         ('{"k": null}', "bad config value"),
+         ('{"a": "0.3"}', "a must be a JSON number"),
+         ('{"q": true}', "q must be a JSON number"),
+         ('{"k": "1e0"}', "k must be a JSON number"),
+         ('{"dist": {"zbar": "3"}}', "zbar must be a JSON number"),
+         ('{"dist": {"alpha": false}}', "alpha must be a JSON number"),
+         ('{"A": 1' + "0" * 400 + '}', "A overflows a float"),
+         (b'{"A": 1, "k": "\xff"}', "cannot read config")],
     )
     def test_malformed_config_is_config_error(self, tmp_path, capsys, text, message):
         # A non-object dist used to escape main() as a generic TypeError, or
-        # (a string) to be read as its characters' keys.
+        # (a string) to be read as its characters' keys; a numeric string or
+        # a boolean used to be read as a number.
         cfg = tmp_path / "bad.json"
-        cfg.write_text(text)
+        cfg.write_bytes(text if isinstance(text, bytes) else text.encode())
         assert run_cli("optimize", "--config", str(cfg)) == 1
         assert message in capsys.readouterr().err
 

@@ -193,9 +193,8 @@ def test_edge_beats_diagonal_grid_best():
 
 
 def _scan_is_finite(p: ModelParams, d: SenderDist) -> bool:
-    grid = np.linspace(0.0, d.zbar, _GRID)
-    scan = sp.line_pass(p, d, grid, edge=slice(1, None))
-    return bool(np.isfinite(scan.edge[0][1:]).all() and np.isfinite(scan.diag[0]).all())
+    scan = sp.line_pass(p, d, _scan_side(d, p.q)[0])
+    return bool(np.isfinite(scan.edge).all() and np.isfinite(scan.diag).all())
 
 
 def test_thin_tail_columns_solve():
@@ -242,10 +241,11 @@ def test_refinement_call_budget(monkeypatch):
     # Lockstep root search: a few line passes per design row, counted (not
     # timed) over all 311 design rows. The first pass is the scan; each later
     # one is a round of both lines' root searches, and the Hermite seed leaves
-    # at most two. The passes make the row's only tail_moments calls (the
-    # returned record is priced from a pass), but the scan takes its
-    # distribution side from the cache once an equal (d, q) has run:
-    # one call per pass cold, one fewer warm.
+    # at most two. A pooling-corner row takes the scan alone: its searches
+    # find no root in the cells the scan evaluated. The passes make the
+    # row's only tail_moments calls (the returned record is priced from a
+    # pass), but the scan takes its distribution side from the cache once an
+    # equal (d, q) has run: one call per pass cold, one fewer warm.
     calls = Counter()
     for owner, name in ((sp, "line_pass"), (SenderDist, "tail_moments")):
         def counted(*args, inner=getattr(owner, name), name=name, **kwargs):
@@ -261,7 +261,7 @@ def test_refinement_call_budget(monkeypatch):
                 _scan_side.cache_clear()
             calls.clear()
             out = optimize(ModelParams(a=g.a, k=g.k, q=g.q), d)
-            assert 2 <= calls["line_pass"] <= 3, g.key()
+            assert 1 <= calls["line_pass"] <= 3, g.key()
             assert calls["tail_moments"] == calls["line_pass"] - warm, g.key()
         evals.append(out.diagnostics["refine_evals"])
     assert len(evals) == 311
@@ -315,16 +315,17 @@ def test_root_search_seeds_from_the_slopes_on_unequal_nodes():
 
 @pytest.mark.parametrize("first", [True, False])
 def test_root_search_from_a_grid_end(first):
-    # The best cell at index 0 or n - 1: the nodes repeat and clip, so the
-    # search fills the NaN slopes, seeds without the Hermite fit, and still
-    # brackets r in one round. The search takes and yields lists of floats.
+    # The best cell at index 0 or n - 1: the nodes repeat, and a grid end is
+    # its probe EFFECTIVE_ZERO inside, with the probe's slope. The search
+    # seeds without the Hermite fit and still brackets r in one round. It
+    # takes and yields lists of floats.
     f, s = _quintic(0.01 if first else 0.99)
     k = [0, 0, 1] if first else [59, 60, 60]
     z = np.clip(np.linspace(0.0, 1.0, 61)[k], EFFECTIVE_ZERO, 1.0 - EFFECTIVE_ZERO)
-    slopes = np.where(np.isin(k, (0, 60)), np.nan, s(z))
-    search = _root_search(z.tolist(), f(z).tolist(), slopes.tolist(), 1e-6)
-    x, rounds = next(search), 0
-    assert len(x) == 1
+    assert np.isnan(_hermite(z, f(z), s(z)))
+    search = _root_search(z.tolist(), f(z).tolist(), s(z).tolist(), 1e-6)
+    x, rounds = next(search), 1
+    assert len(x) == 3
     try:
         while True:
             x, rounds = search.send((f(x).tolist(), s(x).tolist())), rounds + 1
@@ -365,7 +366,7 @@ def test_root_search_bisects_in_log_z_near_effective_zero():
 
 def _edge_slope(p: ModelParams, d: SenderDist, z) -> np.ndarray:
     z = np.asarray(z, dtype=float)
-    return sp.line_pass(p, d, z, diag=slice(0)).edge[1]
+    return sp.line_pass(p, d, z).edge[1]
 
 
 def test_design_rows_return_bracketed_slope_roots():
@@ -546,3 +547,14 @@ def test_scan_cache_holds_the_design_sweeps_distinct_keys():
     rows = [row for design in range(1, 6) for row in run_design(design)]
     assert len(rows) == 311
     assert _scan_side.cache_info().misses == 84
+
+
+def test_scan_cache_holds_a_cycle_of_the_box_workloads_keys():
+    # The endpoint-singular box workload cycles 193 distinct (d, q) in a
+    # fixed order; an LRU cache smaller than the cycle evicts each key before
+    # it recurs, so the second pass must hit on every key.
+    keys = [(SenderDist(0.5 + 0.01 * i, 0.7, 3), 0.5 + 0.001 * i) for i in range(193)]
+    _scan_side.cache_clear()
+    for key in keys * 2:
+        _scan_side(*key)
+    assert _scan_side.cache_info()[:2] == (193, 193)

@@ -289,19 +289,19 @@ def test_batched_lines_match_scalar(shape):
         np.testing.assert_array_equal([edge, diag], want)
 
 
-def test_line_pass_evaluates_each_line_on_its_own_slice():
-    # A refinement round hands the diagonal's points and the edge's points
-    # to one pass: each line's values are the full pass's, bit for bit, and
-    # NaN on the other line's points; an empty slice skips the line.
+def test_line_pass_evaluates_both_lines_at_every_point():
+    # Both lines are finite from z = 0 up to the top guard; below
+    # EFFECTIVE_ZERO the edge is the pooling corner, the diagonal's value
+    # and slope, as classify snaps it.
     d, p = SenderDist(2, 0.5, 3), ModelParams(a=0.3, q=1.4)
-    z = np.array([0.4, 0.4000005, 0.400001, 2.1, 2.1000005, 2.100001, 3.0 - 1e-10])
-    full, split = line_pass(p, d, z), line_pass(p, d, z, edge=slice(3, 7), diag=slice(0, 3))
-    for got, want, off in ((split.edge, full.edge, slice(0, 3)), (split.diag, full.diag, slice(3, 7))):
-        on = np.setdiff1d(np.arange(7), np.arange(7)[off])
-        for g, w in zip(got, want):
-            np.testing.assert_array_equal(g[on], w[on])
-            assert np.isnan(g[off]).all()
-    assert np.isnan(line_pass(p, d, z, edge=slice(0)).edge).all()
+    z = np.array([0.0, 0.5 * EFFECTIVE_ZERO, EFFECTIVE_ZERO, 0.4, 2.1, 3.0 - 1e-6, 3.0 - 1e-10,
+                  3.0])
+    lines = line_pass(p, d, z)
+    assert np.isfinite(lines.edge).all() and np.isfinite(lines.diag).all()
+    low = z < EFFECTIVE_ZERO
+    for edge, diag in zip(lines.edge, lines.diag):
+        np.testing.assert_array_equal(edge[low], diag[low])
+    assert (lines.edge[0][~low] != lines.diag[0][~low]).all()
 
 
 # The shapes and parameters the slope test adds to the seeded box: the

@@ -427,7 +427,7 @@ def test_building_an_anchored_path_solves_nothing(baseline, z_l, monkeypatch):
         raise AssertionError("the path solved for an action when built")
 
     monkeypatch.setattr(SeparatingPath, "sigma_many", no_solve)
-    monkeypatch.setattr(SeparatingPath, "_poly", no_solve)
+    monkeypatch.setattr(SeparatingPath, "mu_tilde", no_solve)
     path = SeparatingPath(baseline, z_l, 3.0)
     assert path.s_l > 0.0
 
