@@ -248,7 +248,7 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except ConfigError as exc:
+    except (ConfigError, OSError) as exc:  # reads raise ConfigError: OSError is an unwritable --out
         print(f"config error: {exc}", file=sys.stderr)
         return 1
     except DelegateOptError as exc:

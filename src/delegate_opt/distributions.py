@@ -44,13 +44,18 @@ from .errors import ConfigError, DomainError
 # integrands are cut at it instead.
 EFFECTIVE_ZERO = 1e-6
 
+# Arguments this far outside [0, zbar] are clamped; the tail mean snaps to zbar within it.
 _SUPPORT_TOL = 1e-9
 _TINY = np.finfo(float).tiny
 
 
-# Shape constants, memoized: every pass asks for the same few.
+# Shape constants. Every pass asks for the same few betaln, so they are memoized;
+# pdf's normalizer runs at most once per pass, too seldom for a memo to pay.
 _betaln = lru_cache(maxsize=1024)(lambda a, b: float(betaln(a, b)))
-_ln_beta = lru_cache(maxsize=64)(lambda a, b: math.lgamma(a) + math.lgamma(b) - math.lgamma(a + b))
+
+
+def _ln_beta(a: float, b: float) -> float:
+    return math.lgamma(a) + math.lgamma(b) - math.lgamma(a + b)
 
 
 @dataclass(frozen=True)

@@ -299,21 +299,21 @@ class GoldenReport:
 
 
 def load_golden(path: Path | None = None) -> list[GoldenRow]:
-    """Golden rows, from the packaged fixture unless an override is given."""
-    if path is not None:
-        text = Path(path).read_text(encoding="utf-8")
-    else:
-        text = (
-            resources.files("delegate_opt") / "golden" / "reference_tables.csv"
-        ).read_text(encoding="utf-8")
-    out = []
-    for rec in csv.DictReader(io.StringIO(text)):
-        out.append(GoldenRow(
-            design=int(rec["design"]),
-            **{f.name: float(rec[f.name]) for f in fields(GoldenRow)
-               if f.name != "design"},
-        ))
-    return out
+    """Golden rows, from the packaged fixture unless an override is given. A
+    file that cannot be read or parsed is a ConfigError naming it."""
+    path = Path(path) if path is not None else (
+        resources.files("delegate_opt") / "golden" / "reference_tables.csv")
+    try:
+        return [
+            GoldenRow(design=int(rec["design"]),
+                      **{f.name: float(rec[f.name]) for f in fields(GoldenRow)
+                         if f.name != "design"})
+            for rec in csv.DictReader(io.StringIO(path.read_text(encoding="utf-8")))
+        ]
+    except KeyError as exc:
+        raise ConfigError(f"golden table {path} has no column {exc}") from exc
+    except (OSError, TypeError, ValueError) as exc:  # UTF-8 decoding errors included
+        raise ConfigError(f"cannot read golden table {path}: {exc}") from exc
 
 
 def compare_golden(rows: list[DesignRow], golden: list[GoldenRow]) -> GoldenReport:

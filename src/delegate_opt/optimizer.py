@@ -211,11 +211,10 @@ def optimize(p: ModelParams, d: SenderDist) -> DelegationOutcome:
     if th.classify(z_l, z_h, d.zbar) == th.STRICTLY_WELL_BEHAVED:
         # An edge point (z_l = 0): the pass that evaluated it solved its top system.
         s_h, sig, ez = (float(a[i]) for a in (lp.s_h, lp.sig, lp.moments[0]))
-        cap = th.retrieve_cap(p, SeparatingPath(p, 0.0, d.zbar), z_h, sig, s_h, ez)
-        record = th.Thresholds(0.0, z_h, 0.0, s_h, 0.0, *cap, th.STRICTLY_WELL_BEHAVED)
+        record = th.top_record(p, SeparatingPath(p, 0.0, d.zbar), z_h, sig, s_h, ez)
     else:
         record = th.resolve(p, d, z_l, z_h)
-    # surplus_of's pieces at record.z_h, read off the pass that holds them.
+    # The record's pricing pieces at record.z_h, read off the pass that holds them.
     lp, i = (scan, _GRID - 1) if record.eq_class == th.SEPARATING else at
     sep = 0.0 if record.eq_class == th.POOLING else lp.sep[i]
     breakdown = sp.surplus_from(p, d, record, sep, [m[i] for m in lp.moments])

@@ -24,8 +24,8 @@ The pooling part takes its tail integrals from the closed forms in
 ``distributions``. Transfers cancel, so nothing here reads wages.
 
 ``thresholds.classify`` alone decides which equilibrium a pair (z_l, z_h)
-induces, and ``surplus_of`` prices its record (``surplus_from`` alone,
-when a ``line_pass`` already holds the pieces). So ``pi_w`` snaps as
+induces, and ``surplus_from`` prices its record, from the pieces that
+``pi_w`` computes or a ``line_pass`` already holds. So ``pi_w`` snaps as
 ``classify`` does: a pair within EFFECTIVE_ZERO of the diagonal is priced as
 pooling, and a z_h within EFFECTIVE_ZERO of zbar as separating. The breakdown
 carries the record's z_l and z_h. A ``line_pass`` prices both lines at each
@@ -119,17 +119,6 @@ def pool_part(
     return float(out) if out.ndim == 0 else out
 
 
-def surplus_of(
-    p: ModelParams, d: SenderDist, rec: thresholds.Thresholds
-) -> SurplusBreakdown:
-    """Aggregate net surplus of the equilibrium that ``resolve`` recorded."""
-    sep = 0.0
-    if rec.eq_class != thresholds.POOLING:
-        path = SeparatingPath(p, rec.z_l, d.zbar)
-        sep = sep_part(p, d, path, rec.z_l, rec.z_h)
-    return surplus_from(p, d, rec, sep, d.tail_moments(rec.z_h, p.q))
-
-
 def surplus_from(
     p: ModelParams, d: SenderDist, rec: thresholds.Thresholds, sep, moments
 ) -> SurplusBreakdown:
@@ -142,10 +131,14 @@ def surplus_from(
 
 
 def pi_w(p: ModelParams, d: SenderDist, z_l: float, z_h: float) -> SurplusBreakdown:
-    """Aggregate net surplus of the equilibrium that (z_l, z_h) induces."""
+    """Aggregate net surplus of the equilibrium that (z_l, z_h) induces:
+    ``surplus_from`` of ``resolve``'s record."""
     if not 0.0 <= z_l <= z_h <= d.zbar * (1.0 + 1e-12):
         raise DomainError(f"need 0 <= z_l <= z_h <= zbar, got ({z_l}, {z_h})")
-    return surplus_of(p, d, thresholds.resolve(p, d, z_l, z_h))
+    rec = thresholds.resolve(p, d, z_l, z_h)
+    sep = 0.0 if rec.eq_class == thresholds.POOLING else sep_part(
+        p, d, SeparatingPath(p, rec.z_l, d.zbar), rec.z_l, rec.z_h)
+    return surplus_from(p, d, rec, sep, d.tail_moments(rec.z_h, p.q))
 
 
 def pi_p(p: ModelParams, d: SenderDist, z_star: float) -> float:

@@ -14,7 +14,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from . import model
-from .distributions import EFFECTIVE_ZERO, SenderDist
+from .distributions import _SUPPORT_TOL, EFFECTIVE_ZERO, SenderDist
 from .errors import (
     DegenerateTailError,
     DomainError,
@@ -30,7 +30,7 @@ SEPARATING = "Separating"
 # The top system is not solved for z_h closer than this to zbar (the
 # conditional tail mean snaps to zbar there), and the pooling part is empty.
 # resolve never gets that close: classify snaps within EFFECTIVE_ZERO.
-_TOP_GUARD = 1e-9
+_TOP_GUARD = _SUPPORT_TOL
 _RETRIEVAL_RTOL = 1e-6
 
 
@@ -106,19 +106,11 @@ def pooled_action(
 
     The residual A k s^a z_h^q E[z|z>=z_h] - beta s^2/z_h - (same at sigma(z_h)
     with E replaced by z_h) is positive just above sigma(z_h) and negative
-    beyond the larger root; ``pooled_action_many`` solves it. Where the tail
+    beyond the larger root; ``_pooled_action_rhs`` solves it. Where the tail
     mean does not exceed z_h, no root exists and DegenerateTailError is
     raised. This is ``solve_top``'s first output.
     """
     return solve_top(p, d, path, z_h)[0]
-
-
-def pooled_action_many(p: ModelParams, sig: float | np.ndarray, z_h: float | np.ndarray,
-                       ez: float | np.ndarray) -> float | np.ndarray:
-    """``pooled_action`` at one or many z_h, given sigma(z_h) and E[z|z>=z_h];
-    ``_pooled_action_rhs`` solves it. A 0-d input gives a float."""
-    s = _pooled_action_rhs(p, sig, z_h, ez)[0]
-    return float(s) if np.ndim(s) == 0 else s
 
 
 def _pooled_action_rhs(p: ModelParams, sig, z_h, ez) -> tuple[np.ndarray, np.ndarray]:
@@ -171,23 +163,27 @@ def solve_top(
     p: ModelParams, d: SenderDist, path: SeparatingPath, z_h: float
 ) -> tuple[float, float]:
     """Pooled action and wage cap (s_h, t_h) for a given top threshold z_h."""
-    return _top(p, d, path, z_h)[:2]
+    rec = _top(p, d, path, z_h)
+    return rec.s_h, rec.t_h
 
 
-def _top(p: ModelParams, d: SenderDist, path: SeparatingPath, z_h: float) -> tuple:
-    """``solve_top``'s (s_h, t_h), and x_h from the ``retrieve_cap`` call that gives t_h."""
+def _top(p: ModelParams, d: SenderDist, path: SeparatingPath, z_h: float) -> Thresholds:
+    """The StrictlyWellBehaved record at z_h, the top system solved by scalars."""
+    if path.zbar != d.zbar:
+        raise DomainError(f"path on [0, {path.zbar}] but types on [0, {d.zbar}]")
     if not path.z_l < z_h < d.zbar - _TOP_GUARD:
         raise DomainError(f"z_h={z_h} outside (z_l={path.z_l}, zbar-1e-9)")
     sig, ez = path.sigma_tilde(z_h), d.trunc_mean(z_h)
-    s_h = pooled_action_many(p, sig, z_h, ez)
-    return (s_h, *retrieve_cap(p, path, z_h, sig, s_h, ez))
+    s_h = float(_pooled_action_rhs(p, sig, z_h, ez)[0])
+    return top_record(p, path, z_h, sig, s_h, ez)
 
 
-def retrieve_cap(p: ModelParams, path: SeparatingPath, z_h, sig, s_h, ez) -> tuple[float, float]:
-    """Wage cap t_h and receiver x_h = n(z_h) (``model.match_n``) from
-    sigma(z_h), the pooled action and the tail mean. t_h comes from the sellers' jump indifference; the
-    buyers'-side retrieval must agree (the two equations sum to the one
-    defining s_h) and any disagreement beyond 1e-6 relative aborts.
+def top_record(p: ModelParams, path: SeparatingPath, z_h, sig, s_h, ez) -> Thresholds:
+    """The StrictlyWellBehaved record at z_h on path, from sigma(z_h), the
+    pooled action and the tail mean. The cap t_h comes from the sellers' jump
+    indifference, and x_h = n(z_h) (``model.match_n``); the buyers'-side
+    retrieval must agree (the two equations sum to the one defining s_h) and
+    any disagreement beyond 1e-6 relative aborts.
     """
     tau_sig = path.tau_tilde(sig)
     t_sellers = p.beta_cost * s_h**2 / z_h + tau_sig - p.beta_cost * sig**2 / z_h
@@ -199,7 +195,8 @@ def retrieve_cap(p: ModelParams, path: SeparatingPath, z_h, sig, s_h, ez) -> tup
             f"cap retrievals disagree at z_h={z_h}: sellers={t_sellers!r}, "
             f"buyers={t_buyers!r}"
         )
-    return t_sellers, x_h
+    return Thresholds(path.z_l, z_h, path.s_l, s_h, path.t_l, t_sellers, x_h,
+                      STRICTLY_WELL_BEHAVED)
 
 
 def pooling_star(
@@ -243,11 +240,7 @@ def resolve(p: ModelParams, d: SenderDist, z_l: float, z_h: float) -> Thresholds
             t_l=path.t_l, t_h=path.tau_tilde(s_top),
             x_h=model.match_n(p, d.zbar), eq_class=SEPARATING,
         )
-    s_h, t_h, x_h = _top(p, d, path, z_h)
-    return Thresholds(
-        z_l=z_l, z_h=z_h, s_l=path.s_l, s_h=s_h, t_l=path.t_l, t_h=t_h,
-        x_h=x_h, eq_class=STRICTLY_WELL_BEHAVED,
-    )
+    return _top(p, d, path, z_h)
 
 
 def brentq(f, a, b, **kw):
@@ -268,6 +261,8 @@ def invert_cap(
     (Pooling with z_h = z_l); in between the monotone map z_h -> t_h is
     inverted by bracketed root finding.
     """
+    if path.zbar != d.zbar:
+        raise DomainError(f"path on [0, {path.zbar}] but types on [0, {d.zbar}]")
     if not t_h >= path.t_l - 1e-12 * max(1.0, path.t_l):
         raise DomainError(f"cap t_h={t_h} below the floor t_l={path.t_l} or NaN")
     z_l = path.z_l

@@ -7,7 +7,7 @@ from scipy.special import roots_legendre
 from delegate_opt import ModelParams, SenderDist, SeparatingPath
 from delegate_opt.quadrature import ABS_TOL, REL_TOL
 from delegate_opt.surplus import pool_part, sep_part
-from delegate_opt.thresholds import pooled_action_many, pooling_star
+from delegate_opt.thresholds import _pooled_action_rhs, pooling_star
 
 BASELINE_SHAPES = ((1, 1), (5, 5), (3, 5), (5, 3))
 # The design shapes plus an endpoint-singular one and a U-shaped one.
@@ -127,7 +127,7 @@ def brute_force_triangle(p: ModelParams, d: SenderDist, n: int) -> np.ndarray:
         cum = np.cumsum(cells)
         s_star, _ = pooling_star(p, d, grid[i])
         z_h = grid[i + 1:-1]  # empty on the last row
-        s_h = pooled_action_many(p, path.sigma_many(z_h), z_h, ez[i + 1:-1])
+        s_h = _pooled_action_rhs(p, path.sigma_many(z_h), z_h, ez[i + 1:-1])[0]
         pool = pool_part(p, d, grid[i:-1], np.concatenate(([s_star], s_h)))
         values[i, i] = pool[0]
         values[i, i + 1:-1] = cum[:-1] + pool[1:]

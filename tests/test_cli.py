@@ -195,6 +195,27 @@ class TestDesignVerifyPaths:
         assert run_cli("verify", "--design", "5", "--golden", str(bad)) == 3
         assert "FAIL" in capsys.readouterr().out
 
+    @pytest.mark.parametrize(
+        "content, message",
+        [(None, "No such file or directory"),
+         ("dir", "Is a directory"),
+         (b"design,alpha\n5,1\n", "has no column 'beta_shape'"),
+         (b"design,alpha,beta_shape,q,k,a,zbar,xbar,t_h,z_h,x_h,s_h\n"
+          b"5,3,5,1,1,0.5,1,1,0.41,0.58,0.58,one\n", "could not convert string to float"),
+         (b"\xff\xfe", "can't decode")],
+        ids=["missing", "directory", "no-column", "not-a-number", "not-utf8"],
+    )
+    def test_unreadable_golden_is_config_error(self, tmp_path, capsys, content, message):
+        # Each of these used to escape main() as a traceback.
+        golden = tmp_path / "golden.csv"
+        if content == "dir":
+            golden.mkdir()
+        elif content is not None:
+            golden.write_bytes(content)
+        assert run_cli("verify", "--design", "5", "--golden", str(golden)) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("config error: ") and str(golden) in err and message in err
+
     def test_paths_design2(self, tmp_path):
         assert run_cli(
             "paths", "--design", "2", "--dist", "1,1", "--out", str(tmp_path)
@@ -262,6 +283,30 @@ class TestDiagnose:
     def test_entry_type_inside_support_runs(self, capsys):
         assert run_cli("diagnose", "--grid", "3", "--z-low", "0.5") == 0
         assert capsys.readouterr().out.splitlines()[1].startswith("0.500000,")
+
+
+class TestOutputPaths:
+    @pytest.mark.parametrize(
+        "argv", [("optimize",), ("solve", "--t-low", "0", "--t-high", "inf"), ("diagnose",)],
+        ids=lambda argv: argv[0],
+    )
+    def test_out_in_a_missing_directory_is_config_error(self, tmp_path, capsys, argv):
+        out = tmp_path / "missing" / "x.json"
+        assert run_cli(*argv, "--out", str(out)) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("config error: ") and str(out) in err
+
+    @pytest.mark.parametrize(
+        "argv", [("design", "--design", "5"), ("verify", "--design", "5"),
+                 ("paths", "--design", "2", "--dist", "1,1")],
+        ids=lambda argv: argv[0],
+    )
+    def test_out_directory_that_is_a_file_is_config_error(self, tmp_path, capsys, argv):
+        out = tmp_path / "taken"
+        out.write_text("")
+        assert run_cli(*argv, "--out", str(out)) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("config error: ") and str(out) in err
 
 
 def test_console_entry_point():

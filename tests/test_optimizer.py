@@ -488,12 +488,13 @@ def _rows_and_draws():
 
 def test_returned_surplus_is_surplus_of_its_record():
     # optimize prices its record with the separating part and the tail
-    # moments of the line pass that evaluated the point; surplus_of prices
-    # it from scratch. Every field agrees exactly, on all design rows and
-    # endpoint-singular box draws.
+    # moments of the line pass that evaluated the point; pi_w prices the
+    # record's pair from scratch. Every field agrees exactly, on all design
+    # rows and endpoint-singular box draws.
     for p, d in _rows_and_draws():
         out = optimize(p, d)
-        assert out.surplus == sp.surplus_of(p, d, out.thresholds), (p, d)
+        rec = out.thresholds
+        assert out.surplus == sp.pi_w(p, d, rec.z_l, rec.z_h), (p, d)
 
 
 def test_record_from_the_pass_is_the_resolved_record(monkeypatch):

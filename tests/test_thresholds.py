@@ -26,9 +26,9 @@ from delegate_opt.thresholds import (
     POOLING,
     SEPARATING,
     STRICTLY_WELL_BEHAVED,
+    _pooled_action_rhs,
     classify,
     pooled_action,
-    pooled_action_many,
     resolve,
 )
 
@@ -303,31 +303,30 @@ class TestPooledActionMany:
             path = SeparatingPath(params, grid[i], 3.0)
             z_h = grid[i + 1:-1]  # row 0 starts at z_h = grid[1]
             sig = path.sigma_many(z_h)
-            got = pooled_action_many(params, sig, z_h, ez[i:])
+            got = _pooled_action_rhs(params, sig, z_h, ez[i:])[0]
             want = np.array([pooled_action_by_brentq(params, d, path, z) for z in z_h])
             assert np.all(np.abs(got - want) <= 2.0 * (1e-14 + 1e-12 * want))
             # One point at a time through the same code gives a float.
             for j, z in enumerate(z_h):
-                one = pooled_action_many(params, sig[j], z, ez[i + j])
-                assert type(one) is float
+                one = _pooled_action_rhs(params, sig[j], z, ez[i + j])[0]
+                assert isinstance(one, float)
                 assert abs(one - want[j]) <= 2.0 * (1e-14 + 1e-12 * want[j])
 
     def test_empty_row(self, baseline):
         empty = np.array([])
-        assert pooled_action_many(baseline, empty, empty, empty).size == 0
+        assert _pooled_action_rhs(baseline, empty, empty, empty)[0].size == 0
 
     @pytest.mark.parametrize("z_l", [0.0, 0.5])
     def test_zero_d_input(self, baseline, uniform3, z_l):
         path = SeparatingPath(baseline, z_l, 3.0)
         z_h = 1.7
         sig, ez = path.sigma_tilde(z_h), uniform3.trunc_mean(z_h)
-        s_h = pooled_action_many(baseline, sig, z_h, ez)
-        assert type(s_h) is float
+        s_h = _pooled_action_rhs(baseline, sig, z_h, ez)[0]
+        assert isinstance(s_h, float)
         assert s_h == pooled_action(baseline, uniform3, path, z_h)
-        assert type(pooled_action_many(baseline, sig, np.asarray(z_h), ez)) is float
         for tail_mean in (z_h, np.nextafter(z_h, 0.0)):
             with pytest.raises(DegenerateTailError):
-                pooled_action_many(baseline, sig, z_h, tail_mean)
+                _pooled_action_rhs(baseline, sig, z_h, tail_mean)
 
 
 def _unit(lo: float = 0.0) -> st.SearchStrategy[float]:
@@ -365,9 +364,21 @@ def test_newton_start_and_stop_over_the_box(a, q, left, low, other, zbar, entry,
     z_h = np.tile(z_h, len(cases))
     want = np.array([larger_root_by_brentq(p, *args) for args in zip(sig, z_h, ez)])
     tol = 2.0 * (1e-14 + 1e-12 * want)
-    assert np.all(np.abs(pooled_action_many(p, sig, z_h, ez) - want) <= tol)
+    assert np.all(np.abs(_pooled_action_rhs(p, sig, z_h, ez)[0] - want) <= tol)
     for j, args in enumerate(zip(sig.tolist(), z_h.tolist(), ez.tolist())):
-        assert abs(pooled_action_many(p, *args) - want[j]) <= tol[j]
+        assert abs(_pooled_action_rhs(p, *args)[0] - want[j]) <= tol[j]
+
+
+def test_path_on_another_support_is_domain_error():
+    # A path on [0, 3] against types on [0, 2] used to give a quiet answer:
+    # solve_top returned (2.882, 3.331) and invert_cap a StrictlyWellBehaved
+    # record.
+    p, d = ModelParams(), SenderDist(1, 1, 2)
+    path = SeparatingPath(p, 0.0, 3.0)
+    with pytest.raises(DomainError, match="path on"):
+        solve_top(p, d, path, 1.5)
+    with pytest.raises(DomainError, match="path on"):
+        invert_cap(p, d, path, 1.0)
 
 
 def test_thin_tail_raises_typed_error(monkeypatch):
@@ -379,7 +390,7 @@ def test_thin_tail_raises_typed_error(monkeypatch):
     path = SeparatingPath(p, 0.69, d.zbar)
     z_h = np.linspace(0.8, 2.4, 9)
     with pytest.raises(DegenerateTailError):
-        pooled_action_many(p, path.sigma_many(z_h), z_h, z_h)
+        _pooled_action_rhs(p, path.sigma_many(z_h), z_h, z_h)
     monkeypatch.setattr(SenderDist, "trunc_mean", lambda self, c: c)
     for z in z_h:
         with pytest.raises(DegenerateTailError):
@@ -399,8 +410,9 @@ def test_anchored_maps_make_no_quadrature_call(baseline, shape, z_l, monkeypatch
             monkeypatch.setattr(module, "integrate", no_quadrature)
     d = SenderDist(*shape)
     path = SeparatingPath(baseline, z_l, d.zbar)
-    _, t_h = solve_top(baseline, d, path, 2.2)
-    assert resolve(baseline, d, z_l, 2.2).t_h == t_h
+    s_h, t_h = solve_top(baseline, d, path, 2.2)
+    rec = resolve(baseline, d, z_l, 2.2)
+    assert (rec.s_h, rec.t_h) == (s_h, t_h)
     assert invert_cap(baseline, d, path, t_h).z_h == pytest.approx(2.2, abs=1e-8)
     top = path.top_wage()
     assert resolve(baseline, d, z_l, d.zbar).t_h == top
