@@ -4,16 +4,17 @@ The optimum of {0 <= z_l <= z_h <= zbar} lies on the z_l = 0 edge Pi_w(0, z_h)
 or on the pooling diagonal Pi_p(z). One array pass (``surplus.line_pass``)
 gives both lines' values and closed-form slopes at every point. Stage one
 scans both on a 61-point grid, 121 cells in all, plus a probe EFFECTIVE_ZERO
-inside each end, in one pass, whose distribution side (tail moments and
-density, ``surplus.dist_side``) depends on (d, q) alone and comes from a cache
-of 256 such keys. Stage two solves for a root of each line's slope in the
-grid cells around its best cell, a grid end replaced by its probe, both lines
-in lockstep, one pass per round, from the root of the quintic Hermite fit of
-those cells' values and slopes; a root replaces the current optimum whenever
-its value is higher, the grid best's own line first. The returned record is
-built (unless Pooling or Separating) and priced from the pass that evaluated
-its point. No stage calls adaptive quadrature, and reruns reproduce a result
-bitwise.
+inside each end, in one pass. Its distribution side (``surplus.dist_side``,
+every term of the pass that depends on (d, q) and the points alone) comes
+from a cache of 256 such keys, so the scan evaluates only what depends on p;
+a scan with a value that is not finite is a DomainError. Stage two solves for
+a root of each line's slope in the grid cells around its best cell, a grid
+end replaced by its probe, both lines in lockstep, one pass per round, from
+the root of the quintic Hermite fit of those cells' values and slopes; a
+root replaces the current optimum whenever its value is higher, the grid
+best's own line first. The returned record is built (unless Pooling or
+Separating) and priced from the pass that evaluated its point. No stage
+calls adaptive quadrature, and reruns reproduce a result bitwise.
 """
 
 from __future__ import annotations
@@ -27,7 +28,7 @@ import numpy as np
 from . import surplus as sp
 from . import thresholds as th
 from .distributions import EFFECTIVE_ZERO, SenderDist
-from .errors import ConvergenceError
+from .errors import ConvergenceError, DomainError
 from .model import ModelParams
 from .separating import SeparatingPath
 
@@ -170,11 +171,12 @@ def _refine(p: ModelParams, d: SenderDist, searches: dict, where: dict) -> tuple
 
 @lru_cache(maxsize=256)
 def _scan_side(d: SenderDist, q: float) -> tuple[np.ndarray, sp.DistSide]:
-    """The scan points and their ``dist_side``, read-only: shared by equal
-    (d, q). The _GRID grid points, then a probe inside each end."""
+    """The scan points and their ``dist_side``, every array read-only, masks
+    and index included: shared by equal (d, q). The _GRID grid points, then
+    a probe inside each end."""
     grid = np.append(np.linspace(0.0, d.zbar, _GRID), (EFFECTIVE_ZERO, d.zbar - EFFECTIVE_ZERO))
     side = sp.dist_side(d, q, grid)
-    for a in (grid, *side.moments, *side[1:]):
+    for a in (grid, *side.moments, *side[1:-1], *side.inner):
         a.flags.writeable = False
     return grid, side
 
@@ -186,6 +188,11 @@ def optimize(p: ModelParams, d: SenderDist) -> DelegationOutcome:
     # The search's bookkeeping runs on Python floats, not NumPy scalars.
     zs = grid.tolist()
     lines = {name: tuple(f.tolist() for f in getattr(scan, name)) for name in _LINES}
+    if not math.isfinite(sum(lines["edge"][0]) + sum(lines["diag"][0])):
+        name, k = next((name, k) for name in _LINES
+                       for k, v in enumerate(lines[name][0]) if not math.isfinite(v))
+        raise DomainError(f"the scan of {d} is not finite: the {name} value "
+                          f"at z = {zs[k]} is {lines[name][0][k]}")
     gi, gj, g_val, tie_break, flat = _best(lines["edge"][0][:_GRID], lines["diag"][0][:_GRID])
     line = "diag" if gi == gj else "edge"
     z_h, val, at = zs[gj], g_val, (scan, gj)

@@ -140,6 +140,11 @@ class SeparatingPath:
         """Equilibrium action sigma(z) with mu(sigma(z)) = z."""
         return float(self.sigma_many(z))
 
+    def power_sigma(self, z_2q: np.ndarray) -> np.ndarray:
+        """sigma on a path anchored at z_l = 0 from z_2q = z^(2+q) at z in
+        [0, zbar]: the power law (z^(2+q)/c1)^(1/(2-a))."""
+        return np.power(z_2q / self.c1, 1.0 / (2.0 - self.params.a))
+
     def sigma_many(self, z: np.ndarray) -> np.ndarray:
         """Inverse of mu at every z in [z_l, zbar]; exact power law when z_l = 0.
 
@@ -159,7 +164,7 @@ class SeparatingPath:
         p = self.params
         target = np.power(z, 2.0 + p.q)
         if self.z_l == 0.0:
-            return np.power(target / self.c1, 1.0 / (2.0 - p.a))
+            return self.power_sigma(target)
         r = 2.0 + p.a + p.a * p.q
         e = p.a * (2.0 + p.q) / r
 

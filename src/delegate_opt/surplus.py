@@ -29,9 +29,9 @@ induces, and ``surplus_from`` prices its record, from the pieces that
 ``classify`` does: a pair within EFFECTIVE_ZERO of the diagonal is priced as
 pooling, and a z_h within EFFECTIVE_ZERO of zbar as separating. The breakdown
 carries the record's z_l and z_h. A ``line_pass`` prices both lines at each
-of its points, from their ``dist_side``, the part that depends on (d, q, z)
-alone; below EFFECTIVE_ZERO its edge is the pooling corner, as ``classify``
-snaps it.
+of its points. Every term that depends on (d, q, z) alone comes from their
+``dist_side``, so a pass on a cached side evaluates only what depends on p.
+Below EFFECTIVE_ZERO its edge is the pooling corner, as ``classify`` snaps it.
 """
 
 from __future__ import annotations
@@ -85,21 +85,32 @@ def sep_part(
             return net * d.pdf(z)
 
         return integrate(density, z_lo, z_hi)
-    e = 1.0 / (2.0 - p.a)
-    power = (2.0 + 2.0 * p.q + p.a) * e
-    k_net = p.A * p.k * path.c1 ** (-p.a * e) - p.beta_cost * path.c1 ** (-2.0 * e)
-    a, b = d.alpha + power, d.beta_shape
-    scale = k_net * d.zbar**power * math.exp(_betaln(a, b) - _betaln(d.alpha, b))
+    scale, a, b = _anchored_scale(p, d, path)
     # SciPy returns NaN outside [0, 1], so the limits are clamped first.
     x_lo, x_hi = (np.minimum(np.maximum(z / d.zbar, 0.0), 1.0) for z in (z_lo, z_hi))
     return scale * (betainc(a, b, x_hi) - betainc(a, b, x_lo))
 
 
-def _pooled_net(p: ModelParams, s_h, ez, pm_q, pm_inv):
-    """A k s_h^a E[z|z>=z_h] int z^q g - beta s_h^2 int g/z over the pooled
-    tail; ``np.power`` and a product, so that a scalar and an array round alike."""
-    return (p.A * p.k * np.power(s_h, p.a) * ez * pm_q
-            - p.beta_cost * (s_h * s_h) * pm_inv)
+def _anchored_scale(p: ModelParams, d: SenderDist, path: SeparatingPath):
+    """K zbar^P B(alpha+P, beta)/B(alpha, beta), the separating part's scale
+    on a path anchored at z_l = 0, and its incomplete beta's (alpha+P, beta)."""
+    e = 1.0 / (2.0 - p.a)
+    power = (2.0 + 2.0 * p.q + p.a) * e
+    k_net = p.A * p.k * path.c1 ** (-p.a * e) - p.beta_cost * path.c1 ** (-2.0 * e)
+    a, b = d.alpha + power, d.beta_shape
+    return k_net * d.zbar**power * math.exp(_betaln(a, b) - _betaln(d.alpha, b)), a, b
+
+
+def _lead(p: ModelParams, s):
+    """A k s^a, by ``np.power`` so that a scalar and an array round alike."""
+    return p.A * p.k * np.power(s, p.a)
+
+
+def _pooled_net(p: ModelParams, lead_e, s_h, pm_q, pm_inv):
+    """lead_e int z^q g - beta s_h^2 int g/z over the pooled tail, where
+    lead_e = ``_lead(p, s_h)`` E[z|z>=z_h]; the square is a product, so that
+    a scalar and an array round alike."""
+    return lead_e * pm_q - p.beta_cost * (s_h * s_h) * pm_inv
 
 
 def pool_part(
@@ -111,10 +122,11 @@ def pool_part(
     is exactly zero, which covers the degenerate pooling-at-zero case where
     the raw integral would diverge. Zero within the top guard of zbar.
     """
+    ez, pm_q, pm_inv, _ = d.tail_moments(z_h, p.q)
     out = np.where(
         np.asarray(z_h) >= d.zbar - _TOP_GUARD,
         0.0,
-        _pooled_net(p, s_h, *d.tail_moments(z_h, p.q)[:3]),
+        _pooled_net(p, _lead(p, s_h) * ez, s_h, pm_q, pm_inv),
     )
     return float(out) if out.ndim == 0 else out
 
@@ -126,7 +138,8 @@ def surplus_from(
     ``tail_moments`` at rec.z_h; the pooled part is ``pool_part``'s."""
     pool = 0.0
     if rec.z_h < d.zbar - _TOP_GUARD:
-        pool = float(_pooled_net(p, rec.s_h, *moments[:3]))
+        ez, pm_q, pm_inv = moments[:3]
+        pool = float(_pooled_net(p, _lead(p, rec.s_h) * ez, rec.s_h, pm_q, pm_inv))
     return SurplusBreakdown(sep, pool, sep + pool, rec.z_l, rec.z_h)
 
 
@@ -151,17 +164,39 @@ def pi_p(p: ModelParams, d: SenderDist, z_star: float) -> float:
 # sep, sig and s_h are the edge's separating part, sigma(z) and pooled action,
 # NaN where it solves no top system, and moments is d.tail_moments(z, p.q).
 LinePass = namedtuple("LinePass", "z moments sep sig s_h edge diag")
-# dist_side at points z: moments is d.tail_moments(z, q), dez the tail mean's
-# slope E' = g (E - z)/P(z >= z), z_q is z^q and top the top-guard mask.
-DistSide = namedtuple("DistSide", "moments dez z_q top")
+# dist_side at points z: moments is d.tail_moments(z, q) = (E, M_q, M_inv, P);
+# low, top and ends mask the points below EFFECTIVE_ZERO, in the top guard and
+# in either, and ``at`` indexes the others, all four None if no point is at an
+# end; x_sep is the separating part's upper limit z/zbar clamped to [0, 1]
+# (1 in the top guard), z_q1 is z^(q+1), dlog 2 E'/E with the tail mean's
+# slope E' = g (E - z)/P, and d_w = -(q+1) z^q M_inv. inner holds the edge's
+# terms at the points ``at``: z, E, M_q, M_inv, E', z^q, z^(2+q) and
+# q + 1 + z E'/E.
+DistSide = namedtuple("DistSide", "moments low top ends at x_sep z_q1 dlog d_w inner")
 
 
 def dist_side(d: SenderDist, q: float, z: np.ndarray) -> DistSide:
-    """The part of a line pass at the points z that depends on (d, q, z) alone."""
+    """Every term of a line pass at the points z that depends on (d, q, z) alone."""
     moments = d.tail_moments(z, q)
+    ez, m_q, m_inv, mass = moments
+    low, top = z < EFFECTIVE_ZERO, z >= d.zbar - _TOP_GUARD
+    ends = low | top
     with np.errstate(divide="ignore", invalid="ignore"):
-        dez = d.pdf(z) * (moments[0] - z) / np.maximum(moments[3], _TINY)
-    return DistSide(moments, dez, z**q, z >= d.zbar - _TOP_GUARD)
+        dez = d.pdf(z) * (ez - z) / np.maximum(mass, _TINY)
+        z_q = z**q
+        dlog, d_w = 2.0 * dez / ez, -(q + 1.0) * z_q * m_inv
+        z_q1 = np.power(z, q + 1.0)
+    cols = (z, ez, m_q, m_inv, dez, z_q)
+    if ends.any():
+        at = np.flatnonzero(~ends)
+        x_sep, cols = np.where(top, d.zbar, z), tuple(a[at] for a in cols)
+    else:
+        low = top = ends = at = None
+        x_sep = z
+    x_sep = np.minimum(np.maximum(x_sep / d.zbar, 0.0), 1.0)
+    zs, e, _, _, de, _ = cols
+    inner = (*cols, np.power(zs, 2.0 + q), q + 1.0 + zs * de / e)
+    return DistSide(moments, low, top, ends, at, x_sep, z_q1, dlog, d_w, inner)
 
 
 def line_pass(p: ModelParams, d: SenderDist, z: np.ndarray,
@@ -170,7 +205,7 @@ def line_pass(p: ModelParams, d: SenderDist, z: np.ndarray,
     values and slopes, in one batch.
 
     Both lines share one distribution side ``side``, ``dist_side(d, p.q, z)``
-    unless given.
+    unless given, and evaluate here only what depends on p.
 
     Diagonal: the value is ``pi_p(p, d, z)``, with ``pooling_star``'s closed
     form s*, zero below EFFECTIVE_ZERO. As beta s*^2 = A k s*^a z^(q+1) E,
@@ -188,34 +223,39 @@ def line_pass(p: ModelParams, d: SenderDist, z: np.ndarray,
     """
     z = np.asarray(z, dtype=float)
     side = dist_side(d, p.q, z) if side is None else side
-    (ez, m_q, m_inv, _), dez, z_q, top = side
-    low = z < EFFECTIVE_ZERO
+    ez, m_q, m_inv, _ = side.moments
     with np.errstate(divide="ignore", invalid="ignore"):
-        s_star = thresholds._s_star(p, z, ez)
-        s_star[low] = 0.0
-        d_val = _pooled_net(p, s_star, ez, m_q, m_inv)
-        rate = p.a * (p.q + 1.0) / z + 2.0 * dez / ez
-        d_w = -(p.q + 1.0) * z_q * m_inv
-        d_slope = d_val * rate / (2.0 - p.a) + p.A * p.k * np.power(s_star, p.a) * ez * d_w
-    d_val[top], d_slope[low | top] = 0.0, 0.0
+        s_star = thresholds._s_star(p, side.z_q1, ez)
+        if side.at is not None:
+            s_star[side.low] = 0.0
+        star_lead = _lead(p, s_star) * ez  # A k s*^a E
+        d_val = _pooled_net(p, star_lead, s_star, m_q, m_inv)
+        rate = p.a * (p.q + 1.0) / z + side.dlog
+        d_slope = d_val * rate / (2.0 - p.a) + star_lead * side.d_w
+    if side.at is not None:
+        d_val[side.top], d_slope[side.ends] = 0.0, 0.0
     path = SeparatingPath(p, 0.0, d.zbar)
-    sep = sep_part(p, d, path, 0.0, np.where(top, d.zbar, z))
-    e_val, e_slope = np.where(low, d_val, sep), np.where(low, d_slope, 0.0)
-    e_sig, e_s = np.full((2, z.size), np.nan)
-    inner = ~(low | top)
-    inner = slice(None) if inner.all() else inner  # no end point: no mask
-    zs, e, w_q, w_inv, de = (a[inner] for a in (z, ez, m_q, m_inv, dez))
-    sig = path.sigma_many(zs)
+    scale, a, b = _anchored_scale(p, d, path)
+    sep = scale * betainc(a, b, side.x_sep)
+    # The edge at the points between the ends, strictly inside sigma's domain.
+    zs, e, w_q, w_inv, de, z_q, z_2q, rate_z = side.inner
+    sig = path.power_sigma(z_2q)
     s, rhs = thresholds._pooled_action_rhs(p, sig, zs, e)
-    e_sig[inner], e_s[inner] = sig, s
-    e_val[inner] += _pooled_net(p, s, e, w_q, w_inv)
     power = (2.0 + 2.0 * p.q + p.a) / (2.0 - p.a)
-    lead = p.A * p.k * np.power(s, p.a)
-    x = lead * z_q[inner] * e
-    z_f_z = x * (p.q + 1.0 + zs * de / e) - (power + 1.0) * rhs
+    lead = _lead(p, s)  # A k s_h^a
+    pool = _pooled_net(p, lead * e, s, w_q, w_inv)
+    x = lead * z_q * e
+    z_f_z = x * rate_z - (power + 1.0) * rhs
     # s dPool/ds, with beta s^2 = (X - rhs) z.
     s_d_pool = p.a * lead * e * w_q - 2.0 * (x - rhs) * zs * w_inv
-    e_slope[inner] = lead * de * w_q - z_f_z * s_d_pool / (zs * ((p.a - 2.0) * x + 2.0 * rhs))
+    slope = lead * de * w_q - z_f_z * s_d_pool / (zs * ((p.a - 2.0) * x + 2.0 * rhs))
+    if side.at is None:  # no end point: nothing to scatter
+        return LinePass(z, side.moments, sep, sig, s, (sep + pool, slope), (d_val, d_slope))
+    e_val, e_slope = np.where(side.low, d_val, sep), np.where(side.low, d_slope, 0.0)
+    e_sig, e_s = np.full((2, z.size), np.nan)
+    e_sig[side.at], e_s[side.at] = sig, s
+    e_val[side.at] += pool
+    e_slope[side.at] = slope
     return LinePass(z, side.moments, sep, e_sig, e_s, (e_val, e_slope), (d_val, d_slope))
 
 

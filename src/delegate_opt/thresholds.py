@@ -212,13 +212,14 @@ def pooling_star(
         raise DomainError(f"z_star={z_star} outside [0, zbar={d.zbar})")
     if z_star < EFFECTIVE_ZERO:
         return 0.0, 0.0
-    s_star = float(_s_star(p, z_star, d.trunc_mean(z_star)))
+    s_star = float(_s_star(p, np.power(z_star, p.q + 1.0), d.trunc_mean(z_star)))
     return s_star, model.cost_c(p, s_star, z_star)
 
 
-def _s_star(p: ModelParams, z, ez):
-    """``pooling_star``'s s* at entry z > 0 with tail mean ez, scalar or array alike."""
-    return np.power(np.power(z, p.q + 1.0) * p.A * p.k * ez / p.beta_cost, 1.0 / (2.0 - p.a))
+def _s_star(p: ModelParams, z_q1, ez):
+    """``pooling_star``'s s* at entry z > 0 from z_q1 = z^(q+1) and the tail
+    mean ez, scalar or array alike."""
+    return np.power(z_q1 * p.A * p.k * ez / p.beta_cost, 1.0 / (2.0 - p.a))
 
 
 def resolve(p: ModelParams, d: SenderDist, z_l: float, z_h: float) -> Thresholds:

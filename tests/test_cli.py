@@ -131,6 +131,14 @@ class TestSolve:
         assert self.solve_thin_tail(tmp_path) == 2
         assert "numerical failure" in capsys.readouterr().err
 
+    def test_non_finite_scan_is_numerical_failure(self, tmp_path, capsys):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"dist": {"zbar": 1e8}}))
+        assert run_cli("optimize", "--config", str(cfg)) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("numerical failure: the scan of SenderDist(") and "not finite" in err
+        assert "Traceback" not in err
+
     def test_inverted_interval_rejected(self):
         assert run_cli("solve", "--t-low", "2", "--t-high", "1") == 1
 

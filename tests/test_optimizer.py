@@ -11,7 +11,7 @@ from delegate_opt import ModelParams, SenderDist, SeparatingPath, optimize, pi_s
 from delegate_opt import distributions, quadrature, separating
 from delegate_opt import surplus as sp
 from delegate_opt.cli import main
-from delegate_opt.errors import ConvergenceError
+from delegate_opt.errors import ConvergenceError, DomainError
 from delegate_opt.distributions import EFFECTIVE_ZERO
 from delegate_opt.harness import load_golden, run_config, run_design
 from delegate_opt.optimizer import (
@@ -537,9 +537,13 @@ def test_scan_side_is_read_only_and_keyed_by_value(baseline):
     optimize(baseline, SenderDist(1.0, 1.0, 3.0))
     assert _scan_side.cache_info()[:2] == (1, 1)
     grid, side = _scan_side(SenderDist(1, 1, 3), baseline.q)
-    for a in (grid, *side.moments, *side[1:]):
+    cached = [grid]
+    for field in side:  # every array the side holds, its masks and index array included
+        cached += field if isinstance(field, tuple) else [field]
+    for a in cached:
+        assert isinstance(a, np.ndarray)
         with pytest.raises(ValueError):
-            a[0] = 0.0
+            a[0] = a[0]
 
 
 def test_scan_cache_holds_the_design_sweeps_distinct_keys():
@@ -559,3 +563,11 @@ def test_scan_cache_holds_a_cycle_of_the_box_workloads_keys():
     for key in keys * 2:
         _scan_side(*key)
     assert _scan_side.cache_info()[:2] == (193, 193)
+
+
+@pytest.mark.parametrize("zbar", [3e7, 1e8])
+def test_non_finite_scan_is_a_domain_error(zbar):
+    # On a support this wide the corner's 1/z tail moment is inf, so the
+    # scan's value there is 0 * inf = NaN; no cell is chosen from it.
+    with pytest.raises(DomainError, match="the diag value at z = 0.0 is nan"):
+        optimize(ModelParams(), SenderDist(1, 1, zbar))

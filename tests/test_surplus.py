@@ -22,7 +22,7 @@ from delegate_opt import (
 from delegate_opt.distributions import EFFECTIVE_ZERO
 from delegate_opt.quadrature import REL_TOL
 from delegate_opt.thresholds import pooled_action
-from delegate_opt.surplus import line_pass, pool_part, sep_part
+from delegate_opt.surplus import LinePass, dist_side, line_pass, pool_part, sep_part
 
 from conftest import AGREEMENT_SHAPES, BASELINE_SHAPES, random_admissible
 
@@ -302,6 +302,35 @@ def test_line_pass_evaluates_both_lines_at_every_point():
     for edge, diag in zip(lines.edge, lines.diag):
         np.testing.assert_array_equal(edge[low], diag[low])
     assert (lines.edge[0][~low] != lines.diag[0][~low]).all()
+
+
+def _arrays(fields) -> list:
+    """The arrays of a LinePass or DistSide, its tuples flattened."""
+    return [a for f in fields for a in (f if isinstance(f, tuple) else (f,)) if a is not None]
+
+
+@pytest.mark.parametrize("shape", AGREEMENT_SHAPES)
+def test_one_dist_side_serves_every_params_of_its_q(shape):
+    # A pass on a shared read-only side equals a pass that builds its own,
+    # bit for bit in every field, for several parameters with the side's q:
+    # at the ends and in the thin tail, and with no end point, as a
+    # refinement round has none.
+    rng = np.random.default_rng(17)
+    d = SenderDist(*shape, 3)
+    ends = [0.0, 0.5 * EFFECTIVE_ZERO, EFFECTIVE_ZERO, 3.0 - 1e-6, 3.0 - 1e-10, 3.0]
+    thin = [3.0 - 1e-3, 3.0 - 1e-4, 3.0 - 1e-5]
+    inner = np.array([EFFECTIVE_ZERO, 1.3, *thin])
+    for z in (np.append(rng.uniform(EFFECTIVE_ZERO, 3.0, 20), ends + thin), inner):
+        for q in (1.0, float(rng.uniform(0.0, 2.0))):
+            side = dist_side(d, q, z)
+            assert (side.at is None) == (z is inner)
+            for a in _arrays(side):
+                a.flags.writeable = False
+            for p in (ModelParams(q=q), *(replace(random_admissible(rng), q=q) for _ in range(2))):
+                shared, own = line_pass(p, d, z, side=side), line_pass(p, d, z)
+                for field, x, y in zip(LinePass._fields, shared, own):
+                    x, y = _arrays([x]), _arrays([y])
+                    assert [a.tobytes() for a in x] == [b.tobytes() for b in y], (p, field)
 
 
 # The shapes and parameters the slope test adds to the seeded box: the
