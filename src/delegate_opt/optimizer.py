@@ -1,20 +1,22 @@
 """Maximize aggregate net surplus over the threshold triangle.
 
 The optimum of {0 <= z_l <= z_h <= zbar} lies on the z_l = 0 edge Pi_w(0, z_h)
-or on the pooling diagonal Pi_p(z). One array pass (``surplus.line_pass``)
-gives both lines' values and closed-form slopes at every point. Stage one
-scans both on a 61-point grid, 121 cells in all, plus a probe EFFECTIVE_ZERO
-inside each end, in one pass. Its distribution side (``surplus.dist_side``,
-every term of the pass that depends on (d, q) and the points alone) comes
-from a cache of 256 such keys, so the scan evaluates only what depends on p;
-a scan with a value that is not finite is a DomainError. Stage two solves for
-a root of each line's slope in the grid cells around its best cell, a grid
-end replaced by its probe, both lines in lockstep, one pass per round, from
-the root of the quintic Hermite fit of those cells' values and slopes; a
-root replaces the current optimum whenever its value is higher, the grid
-best's own line first. The returned record is built (unless Pooling or
-Separating) and priced from the pass that evaluated its point. No stage
-calls adaptive quadrature, and reruns reproduce a result bitwise.
+or on the pooling diagonal Pi_p(z). Stage one scans both on a 61-point grid,
+121 cells in all. The grid's ends are closed forms of slope 0: at z = 0 both
+lines are Pi_p(0), and at zbar the edge is Pi_s and the diagonal 0. One array
+pass (``surplus.line_pass``) gives both lines' values and closed-form slopes
+at every other grid point and at each end's probe, EFFECTIVE_ZERO inside.
+Those points and their distribution side (``surplus.dist_side``, every term
+of the pass that depends on (d, q) and the points alone) come from a cache of
+256 such keys, so the scan evaluates only what depends on p; a scan with a
+value that is not finite is a DomainError. Stage two solves for a root of
+each line's slope in the scan points around its best cell, both lines in
+lockstep, one pass per round, from the root of the quintic Hermite fit of
+those points' values and slopes; a root replaces the current optimum
+whenever its value is higher, the grid best's own line first. The returned
+record is built (unless Pooling or Separating) and priced from the pass that
+evaluated its point, or from a corner's closed forms. No stage calls
+adaptive quadrature, and reruns reproduce a result bitwise.
 """
 
 from __future__ import annotations
@@ -38,7 +40,6 @@ _CERT_TOL = 1e-8
 _LINES = ("diag", "edge")
 _GRID = 61  # scan points per line
 _TOL = 1e-6  # width below which a root search ends
-_PROBE = {0: _GRID, _GRID - 1: _GRID + 1}  # a grid end's probe in the scan
 
 
 @dataclass(frozen=True)
@@ -47,7 +48,7 @@ class DelegationOutcome:
     interval: tuple[float, float]
     surplus: sp.SurplusBreakdown
     percentile_zh: float
-    pi_s: float  # full delegation, Pi_w(0, zbar): the edge scan's last cell
+    pi_s: float  # full delegation, Pi_w(0, zbar): the edge grid's last cell
     diagnostics: dict = field(compare=False)
 
 
@@ -142,11 +143,11 @@ def _root_search(z: list, f: list, s: list, tol: float):
     return (*max((lo, hi), key=lambda pt: pt[1]), True)
 
 
-def _refine(p: ModelParams, d: SenderDist, searches: dict, where: dict) -> tuple[dict, int]:
+def _refine(path: SeparatingPath, d: SenderDist, searches: dict, where: dict) -> tuple[dict, int]:
     """Run one search per line in lockstep, each round in one ``line_pass``
-    at all the round's points, of which each line reads its own; ``where``
-    gets the pass and index of each (line, point). Returns the results and
-    the points used."""
+    on the edge ``path`` at all the round's points, of which each line reads
+    its own; ``where`` gets the pass and index of each (line, point).
+    Returns the results and the points used."""
     results, replies, n_evals = {}, dict.fromkeys(searches), 0
     for _ in range(100):
         spans, points = {}, []
@@ -161,7 +162,7 @@ def _refine(p: ModelParams, d: SenderDist, searches: dict, where: dict) -> tuple
                 points += x
         if not points:
             return results, n_evals
-        lp = sp.line_pass(p, d, points)
+        lp = sp.line_pass(path, d, points)
         for line, span in spans.items():
             replies[line] = tuple(f[span].tolist() for f in getattr(lp, line))
             where.update(((line, points[i]), (lp, i)) for i in range(len(points))[span])
@@ -170,44 +171,53 @@ def _refine(p: ModelParams, d: SenderDist, searches: dict, where: dict) -> tuple
 
 
 @lru_cache(maxsize=256)
-def _scan_side(d: SenderDist, q: float) -> tuple[np.ndarray, sp.DistSide]:
-    """The scan points and their ``dist_side``, every array read-only, masks
-    and index included: shared by equal (d, q). The _GRID grid points, then
-    a probe inside each end."""
-    grid = np.append(np.linspace(0.0, d.zbar, _GRID), (EFFECTIVE_ZERO, d.zbar - EFFECTIVE_ZERO))
-    side = sp.dist_side(d, q, grid)
-    for a in (grid, *side.moments, *side[1:-1], *side.inner):
+def _scan_side(d: SenderDist, q: float) -> tuple[np.ndarray, np.ndarray, sp.DistSide, tuple]:
+    """The grid, the scan points (the grid with each end replaced by its
+    probe EFFECTIVE_ZERO inside), their ``dist_side``, every array read-only,
+    and the tail moments at the pooling corner z = 0 as floats: shared by
+    equal (d, q)."""
+    grid = np.linspace(0.0, d.zbar, _GRID)
+    points = grid.copy()
+    points[[0, -1]] = EFFECTIVE_ZERO, d.zbar - EFFECTIVE_ZERO
+    side, corner = sp.dist_side(d, q, points), tuple(map(float, d.tail_moments(0.0, q)))
+    for a in (grid, points, *side.moments, *side[1:]):
         a.flags.writeable = False
-    return grid, side
+    return grid, points, side, corner
 
 
 def optimize(p: ModelParams, d: SenderDist) -> DelegationOutcome:
     """Solve the planner's problem: argmax of the net surplus over thresholds."""
-    grid, side = _scan_side(d, p.q)
-    scan = sp.line_pass(p, d, grid, side=side)
+    path = SeparatingPath(p, 0.0, d.zbar)
+    grid, points, side, corner = _scan_side(d, p.q)
+    scan = sp.line_pass(path, d, points, side=side)
+    # The corners: Pi_p(0) at z = 0 on both lines, and Pi_s at zbar on the edge.
+    pooled = float(sp._pooled_net(p, sp._lead(p, 0.0) * corner[0], 0.0, *corner[1:3]))
+    full = sp._anchored_scale(p, d, path)[0]
     # The search's bookkeeping runs on Python floats, not NumPy scalars.
-    zs = grid.tolist()
-    lines = {name: tuple(f.tolist() for f in getattr(scan, name)) for name in _LINES}
-    if not math.isfinite(sum(lines["edge"][0]) + sum(lines["diag"][0])):
-        name, k = next((name, k) for name in _LINES
-                       for k, v in enumerate(lines[name][0]) if not math.isfinite(v))
-        raise DomainError(f"the scan of {d} is not finite: the {name} value "
-                          f"at z = {zs[k]} is {lines[name][0][k]}")
-    gi, gj, g_val, tie_break, flat = _best(lines["edge"][0][:_GRID], lines["diag"][0][:_GRID])
+    zs, pts = grid.tolist(), points.tolist()
+    scanned = {name: tuple(f.tolist() for f in getattr(scan, name)) for name in _LINES}
+    # The grid's lines: the scan's values and slopes, each end a corner.
+    lines = {name: ([pooled, *values[1:-1], full if name == "edge" else 0.0],
+                    [0.0, *slopes[1:-1], 0.0]) for name, (values, slopes) in scanned.items()}
+    if not math.isfinite(pooled + full + sum(scanned["edge"][0] + scanned["diag"][0])):
+        name, z, v = next((name, z, v) for name in _LINES for z, v in zip(
+            zs + pts, lines[name][0] + scanned[name][0]) if not math.isfinite(v))
+        raise DomainError(f"the scan of {d} is not finite: the {name} value at z = {z} is {v}")
+    gi, gj, g_val, tie_break, flat = _best(lines["edge"][0], lines["diag"][0])
     line = "diag" if gi == gj else "edge"
     z_h, val, at = zs[gj], g_val, (scan, gj)
     slope = lines[line][1][gj]
     searches, where = {}, {}
     for name in sorted(_LINES, key=lambda name: name != line):
-        values, slopes = lines[name]
+        values = lines[name][0]
         # The line's best cell, past the corner on the edge: the larger z on ties.
         first = int(name == "edge")
-        top = max(values[first:_GRID])
+        top = max(values[first:])
         c = next(i for i in range(_GRID - 1, -1, -1) if values[i] >= top - _TIE_TOL)
-        k = [_PROBE.get(i, i) for i in (max(c - 1, 0), c, min(c + 1, _GRID - 1))]
-        searches[name] = _root_search(*([a[i] for i in k] for a in (zs, values, slopes)), _TOL)
-        where.update(((name, zs[i]), (scan, i)) for i in k)
-    results, refine_evals = _refine(p, d, searches, where)
+        k = (max(c - 1, 0), c, min(c + 1, _GRID - 1))
+        searches[name] = _root_search(*([a[i] for i in k] for a in (pts, *scanned[name])), _TOL)
+        where.update(((name, pts[i]), (scan, i)) for i in k)
+    results, refine_evals = _refine(path, d, searches, where)
     # The tie tolerance guards only points that are not roots, such as
     # the exact pooling corner against the line's end EFFECTIVE_ZERO away.
     for name in searches:
@@ -218,19 +228,20 @@ def optimize(p: ModelParams, d: SenderDist) -> DelegationOutcome:
     if th.classify(z_l, z_h, d.zbar) == th.STRICTLY_WELL_BEHAVED:
         # An edge point (z_l = 0): the pass that evaluated it solved its top system.
         s_h, sig, ez = (float(a[i]) for a in (lp.s_h, lp.sig, lp.moments[0]))
-        record = th.top_record(p, SeparatingPath(p, 0.0, d.zbar), z_h, sig, s_h, ez)
+        record = th.top_record(p, path, z_h, sig, s_h, ez)
     else:
         record = th.resolve(p, d, z_l, z_h)
-    # The record's pricing pieces at record.z_h, read off the pass that holds them.
-    lp, i = (scan, _GRID - 1) if record.eq_class == th.SEPARATING else at
-    sep = 0.0 if record.eq_class == th.POOLING else lp.sep[i]
-    breakdown = sp.surplus_from(p, d, record, sep, [m[i] for m in lp.moments])
+    # The record's pricing pieces at record.z_h: a corner's closed forms, or
+    # the pass that evaluated the point.
+    sep = {th.POOLING: 0.0, th.SEPARATING: full}.get(record.eq_class, lp.sep[i])
+    moments = corner if record.z_h in (0.0, d.zbar) else [m[i] for m in lp.moments]
+    breakdown = sp.surplus_from(p, d, record, sep, moments)
     diagnostics = {
         "grid": _GRID,
         "grid_best": {"z_l": zs[gi], "z_h": zs[gj], "value": g_val},
         "refine_method": line,
         "refine_evals": refine_evals,
-        "n_grid_evals": 2 * _GRID - 1,  # grid cells; the scan also evaluates the probes
+        "n_grid_evals": 2 * _GRID - 1,  # grid cells, the corners among them
         "tie_break_applied": tie_break,
         "flat_objective": flat,
         "certificate": float(breakdown.total - g_val),
@@ -248,6 +259,6 @@ def optimize(p: ModelParams, d: SenderDist) -> DelegationOutcome:
         interval=(record.t_l, record.t_h),
         surplus=breakdown,
         percentile_zh=d.cdf(record.z_h),
-        pi_s=float(scan.edge[0][_GRID - 1]),
+        pi_s=full,
         diagnostics=diagnostics,
     )

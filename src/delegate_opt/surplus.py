@@ -29,9 +29,12 @@ induces, and ``surplus_from`` prices its record, from the pieces that
 ``classify`` does: a pair within EFFECTIVE_ZERO of the diagonal is priced as
 pooling, and a z_h within EFFECTIVE_ZERO of zbar as separating. The breakdown
 carries the record's z_l and z_h. A ``line_pass`` prices both lines at each
-of its points. Every term that depends on (d, q, z) alone comes from their
-``dist_side``, so a pass on a cached side evaluates only what depends on p.
-Below EFFECTIVE_ZERO its edge is the pooling corner, as ``classify`` snaps it.
+of its points, all in [EFFECTIVE_ZERO, zbar - EFFECTIVE_ZERO], where the edge
+solves its top system. Every term that depends on (d, q, z) alone comes from
+their ``dist_side``, so a pass on a cached side evaluates only what depends
+on p. The corners are closed forms, which ``optimize`` prices itself: the
+pooling corner Pi_p(0), and full delegation Pi_s, the scale of
+``_anchored_scale`` (I_1 = 1).
 """
 
 from __future__ import annotations
@@ -134,9 +137,10 @@ def pool_part(
 def surplus_from(
     p: ModelParams, d: SenderDist, rec: thresholds.Thresholds, sep, moments
 ) -> SurplusBreakdown:
-    """The breakdown of rec from its separating part (0 when Pooling) and
-    ``tail_moments`` at rec.z_h; the pooled part is ``pool_part``'s."""
-    pool = 0.0
+    """The breakdown of rec, in Python floats, from its separating part (0
+    when Pooling) and ``tail_moments`` at rec.z_h; the pooled part is
+    ``pool_part``'s."""
+    sep, pool = float(sep), 0.0
     if rec.z_h < d.zbar - _TOP_GUARD:
         ez, pm_q, pm_inv = moments[:3]
         pool = float(_pooled_net(p, _lead(p, rec.s_h) * ez, rec.s_h, pm_q, pm_inv))
@@ -162,101 +166,73 @@ def pi_p(p: ModelParams, d: SenderDist, z_star: float) -> float:
 
 # line_pass at points z: edge is (Pi_w(0, z), slope) and diag (Pi_p(z), slope);
 # sep, sig and s_h are the edge's separating part, sigma(z) and pooled action,
-# NaN where it solves no top system, and moments is d.tail_moments(z, p.q).
+# and moments is d.tail_moments(z, p.q).
 LinePass = namedtuple("LinePass", "z moments sep sig s_h edge diag")
 # dist_side at points z: moments is d.tail_moments(z, q) = (E, M_q, M_inv, P);
-# low, top and ends mask the points below EFFECTIVE_ZERO, in the top guard and
-# in either, and ``at`` indexes the others, all four None if no point is at an
-# end; x_sep is the separating part's upper limit z/zbar clamped to [0, 1]
-# (1 in the top guard), z_q1 is z^(q+1), dlog 2 E'/E with the tail mean's
-# slope E' = g (E - z)/P, and d_w = -(q+1) z^q M_inv. inner holds the edge's
-# terms at the points ``at``: z, E, M_q, M_inv, E', z^q, z^(2+q) and
-# q + 1 + z E'/E.
-DistSide = namedtuple("DistSide", "moments low top ends at x_sep z_q1 dlog d_w inner")
+# x_sep is the separating part's upper limit z/zbar, z_q1 is z^(q+1), dlog
+# 2 E'/E with the tail mean's slope E' = g (E - z)/P, d_w = -(q+1) z^q M_inv,
+# then the edge's E', z^q, z^(2+q) and q + 1 + z E'/E.
+DistSide = namedtuple("DistSide", "moments x_sep z_q1 dlog d_w de z_q z_2q rate_z")
 
 
 def dist_side(d: SenderDist, q: float, z: np.ndarray) -> DistSide:
     """Every term of a line pass at the points z that depends on (d, q, z) alone."""
     moments = d.tail_moments(z, q)
     ez, m_q, m_inv, mass = moments
-    low, top = z < EFFECTIVE_ZERO, z >= d.zbar - _TOP_GUARD
-    ends = low | top
-    with np.errstate(divide="ignore", invalid="ignore"):
-        dez = d.pdf(z) * (ez - z) / np.maximum(mass, _TINY)
-        z_q = z**q
-        dlog, d_w = 2.0 * dez / ez, -(q + 1.0) * z_q * m_inv
-        z_q1 = np.power(z, q + 1.0)
-    cols = (z, ez, m_q, m_inv, dez, z_q)
-    if ends.any():
-        at = np.flatnonzero(~ends)
-        x_sep, cols = np.where(top, d.zbar, z), tuple(a[at] for a in cols)
-    else:
-        low = top = ends = at = None
-        x_sep = z
-    x_sep = np.minimum(np.maximum(x_sep / d.zbar, 0.0), 1.0)
-    zs, e, _, _, de, _ = cols
-    inner = (*cols, np.power(zs, 2.0 + q), q + 1.0 + zs * de / e)
-    return DistSide(moments, low, top, ends, at, x_sep, z_q1, dlog, d_w, inner)
+    de = d.pdf(z) * (ez - z) / np.maximum(mass, _TINY)
+    z_q = z**q
+    return DistSide(moments, z / d.zbar, np.power(z, q + 1.0), 2.0 * de / ez,
+                    -(q + 1.0) * z_q * m_inv, de, z_q, np.power(z, 2.0 + q),
+                    q + 1.0 + z * de / ez)
 
 
-def line_pass(p: ModelParams, d: SenderDist, z: np.ndarray,
+def line_pass(path: SeparatingPath, d: SenderDist, z: np.ndarray,
               side: DistSide | None = None) -> LinePass:
-    """The z_l = 0 edge and the pooling diagonal at every z in [0, zbar],
-    values and slopes, in one batch.
+    """The z_l = 0 edge, which is ``path`` (the path anchored at z_l = 0),
+    and the pooling diagonal at every z in [EFFECTIVE_ZERO, zbar -
+    EFFECTIVE_ZERO], values and slopes, in one batch; a point outside that
+    interval is a DomainError. The corners z = 0 and zbar are closed forms
+    that ``optimize`` prices itself.
 
-    Both lines share one distribution side ``side``, ``dist_side(d, p.q, z)``
-    unless given, and evaluate here only what depends on p.
+    Both lines share one distribution side ``side``, ``dist_side(d, q, z)``
+    unless given, and evaluate here only what depends on the parameters.
 
     Diagonal: the value is ``pi_p(p, d, z)``, with ``pooling_star``'s closed
-    form s*, zero below EFFECTIVE_ZERO. As beta s*^2 = A k s*^a z^(q+1) E,
+    form s*. As beta s*^2 = A k s*^a z^(q+1) E,
     Pi_p = A k s*^a E W with W = M_q - z^(q+1) M_inv, whose slope is
-    Pi_p (a (q+1)/z + 2 E'/E)/(2-a) + A k s*^a E W', W' = -(q+1) z^q M_inv;
-    0 where the value is constant: below EFFECTIVE_ZERO and in the top guard.
+    Pi_p (a (q+1)/z + 2 E'/E)/(2-a) + A k s*^a E W', W' = -(q+1) z^q M_inv.
 
     Edge: the value is ``pi_w(p, d, 0, z).total``. In the slope
     K z^P g + dPool/dz, K z^P g cancels the pooled density the tail loses by
     the top equation F = X - beta s^2/z - rhs(z) = 0, X = A k s^a z^q E. The
     rest moves s_h by -F_z/F_s, with s F_s = (a-2) X + 2 rhs and
-    z F_z = X (q+1 + z E'/E) - (P+1) rhs, and E by E'. It is 0 in the top
-    guard, where the value is Pi_s. Below EFFECTIVE_ZERO the edge is the
-    pooling corner, as ``classify`` snaps it: the diagonal's value and slope.
+    z F_z = X (q+1 + z E'/E) - (P+1) rhs, and E by E'.
     """
     z = np.asarray(z, dtype=float)
+    if not (EFFECTIVE_ZERO <= z.min() and z.max() <= d.zbar - EFFECTIVE_ZERO):
+        raise DomainError(f"line pass points [{z.min()}, {z.max()}] outside "
+                          f"[EFFECTIVE_ZERO, zbar - EFFECTIVE_ZERO] of {d}")
+    p = path.params
     side = dist_side(d, p.q, z) if side is None else side
     ez, m_q, m_inv, _ = side.moments
-    with np.errstate(divide="ignore", invalid="ignore"):
-        s_star = thresholds._s_star(p, side.z_q1, ez)
-        if side.at is not None:
-            s_star[side.low] = 0.0
-        star_lead = _lead(p, s_star) * ez  # A k s*^a E
-        d_val = _pooled_net(p, star_lead, s_star, m_q, m_inv)
-        rate = p.a * (p.q + 1.0) / z + side.dlog
-        d_slope = d_val * rate / (2.0 - p.a) + star_lead * side.d_w
-    if side.at is not None:
-        d_val[side.top], d_slope[side.ends] = 0.0, 0.0
-    path = SeparatingPath(p, 0.0, d.zbar)
+    s_star = thresholds._s_star(p, side.z_q1, ez)
+    star_lead = _lead(p, s_star) * ez  # A k s*^a E
+    d_val = _pooled_net(p, star_lead, s_star, m_q, m_inv)
+    rate = p.a * (p.q + 1.0) / z + side.dlog
+    d_slope = d_val * rate / (2.0 - p.a) + star_lead * side.d_w
     scale, a, b = _anchored_scale(p, d, path)
     sep = scale * betainc(a, b, side.x_sep)
-    # The edge at the points between the ends, strictly inside sigma's domain.
-    zs, e, w_q, w_inv, de, z_q, z_2q, rate_z = side.inner
-    sig = path.power_sigma(z_2q)
-    s, rhs = thresholds._pooled_action_rhs(p, sig, zs, e)
+    sig = path.power_sigma(side.z_2q)
+    s, rhs = thresholds._pooled_action_rhs(p, sig, z, ez)
     power = (2.0 + 2.0 * p.q + p.a) / (2.0 - p.a)
     lead = _lead(p, s)  # A k s_h^a
-    pool = _pooled_net(p, lead * e, s, w_q, w_inv)
-    x = lead * z_q * e
-    z_f_z = x * rate_z - (power + 1.0) * rhs
+    pool = _pooled_net(p, lead * ez, s, m_q, m_inv)
+    x = lead * side.z_q * ez
+    z_f_z = x * side.rate_z - (power + 1.0) * rhs
     # s dPool/ds, with beta s^2 = (X - rhs) z.
-    s_d_pool = p.a * lead * e * w_q - 2.0 * (x - rhs) * zs * w_inv
-    slope = lead * de * w_q - z_f_z * s_d_pool / (zs * ((p.a - 2.0) * x + 2.0 * rhs))
-    if side.at is None:  # no end point: nothing to scatter
-        return LinePass(z, side.moments, sep, sig, s, (sep + pool, slope), (d_val, d_slope))
-    e_val, e_slope = np.where(side.low, d_val, sep), np.where(side.low, d_slope, 0.0)
-    e_sig, e_s = np.full((2, z.size), np.nan)
-    e_sig[side.at], e_s[side.at] = sig, s
-    e_val[side.at] += pool
-    e_slope[side.at] = slope
-    return LinePass(z, side.moments, sep, e_sig, e_s, (e_val, e_slope), (d_val, d_slope))
+    s_d_pool = p.a * lead * ez * m_q - 2.0 * (x - rhs) * z * m_inv
+    slope = lead * side.de * m_q - z_f_z * s_d_pool / (z * ((p.a - 2.0) * x + 2.0 * rhs))
+    return LinePass(z, side.moments, sep, sig, s, (sep + pool, slope), (d_val, d_slope))
 
 
 def pi_s(p: ModelParams, d: SenderDist) -> float:

@@ -6,7 +6,7 @@ from scipy.special import roots_legendre
 
 from delegate_opt import ModelParams, SenderDist, SeparatingPath
 from delegate_opt.quadrature import ABS_TOL, REL_TOL
-from delegate_opt.surplus import pool_part, sep_part
+from delegate_opt.surplus import line_pass, pool_part, sep_part
 from delegate_opt.thresholds import _pooled_action_rhs, pooling_star
 
 BASELINE_SHAPES = ((1, 1), (5, 5), (3, 5), (5, 3))
@@ -31,6 +31,11 @@ def uniform3() -> SenderDist:
 @pytest.fixture
 def rng() -> np.random.Generator:
     return np.random.default_rng(20240817)
+
+
+def edge_pass(p: ModelParams, d: SenderDist, z, side=None):
+    """``line_pass`` of p on the z_l = 0 edge of d."""
+    return line_pass(SeparatingPath(p, 0.0, d.zbar), d, z, side=side)
 
 
 def random_admissible(rng: np.random.Generator) -> ModelParams:

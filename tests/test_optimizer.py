@@ -7,8 +7,8 @@ import numpy as np
 import pytest
 from scipy.optimize import minimize_scalar
 
-from delegate_opt import ModelParams, SenderDist, SeparatingPath, optimize, pi_s, pi_w
-from delegate_opt import distributions, quadrature, separating
+from delegate_opt import ModelParams, SenderDist, SeparatingPath, optimize, pi_p, pi_s, pi_w
+from delegate_opt import distributions, optimizer, quadrature, separating
 from delegate_opt import surplus as sp
 from delegate_opt.cli import main
 from delegate_opt.errors import ConvergenceError, DomainError
@@ -21,7 +21,9 @@ from delegate_opt.surplus import sep_part
 from delegate_opt import thresholds
 from delegate_opt.thresholds import POOLING, STRICTLY_WELL_BEHAVED, resolve
 
-from conftest import AGREEMENT_SHAPES, BASELINE_SHAPES, brute_force_triangle, sep_cells
+from conftest import (
+    AGREEMENT_SHAPES, BASELINE_SHAPES, brute_force_triangle, edge_pass, random_admissible, sep_cells,
+)
 
 
 class TestBaselineOptimum:
@@ -193,7 +195,7 @@ def test_edge_beats_diagonal_grid_best():
 
 
 def _scan_is_finite(p: ModelParams, d: SenderDist) -> bool:
-    scan = sp.line_pass(p, d, _scan_side(d, p.q)[0])
+    scan = edge_pass(p, d, _scan_side(d, p.q)[1])
     return bool(np.isfinite(scan.edge).all() and np.isfinite(scan.diag).all())
 
 
@@ -244,8 +246,9 @@ def test_refinement_call_budget(monkeypatch):
     # at most two. A pooling-corner row takes the scan alone: its searches
     # find no root in the cells the scan evaluated. The passes make the
     # row's only tail_moments calls (the returned record is priced from a
-    # pass), but the scan takes its distribution side from the cache once an
-    # equal (d, q) has run: one call per pass cold, one fewer warm.
+    # pass or a corner), but the scan takes its distribution side and the
+    # corner's moments from the cache once an equal (d, q) has run: one call
+    # per pass and one for the corner cold, one fewer than the passes warm.
     calls = Counter()
     for owner, name in ((sp, "line_pass"), (SenderDist, "tail_moments")):
         def counted(*args, inner=getattr(owner, name), name=name, **kwargs):
@@ -262,7 +265,7 @@ def test_refinement_call_budget(monkeypatch):
             calls.clear()
             out = optimize(ModelParams(a=g.a, k=g.k, q=g.q), d)
             assert 1 <= calls["line_pass"] <= 3, g.key()
-            assert calls["tail_moments"] == calls["line_pass"] - warm, g.key()
+            assert calls["tail_moments"] == calls["line_pass"] + (-1 if warm else 1), g.key()
         evals.append(out.diagnostics["refine_evals"])
     assert len(evals) == 311
     assert np.mean(evals) <= 6.0
@@ -366,7 +369,7 @@ def test_root_search_bisects_in_log_z_near_effective_zero():
 
 def _edge_slope(p: ModelParams, d: SenderDist, z) -> np.ndarray:
     z = np.asarray(z, dtype=float)
-    return sp.line_pass(p, d, z).edge[1]
+    return edge_pass(p, d, z).edge[1]
 
 
 def test_design_rows_return_bracketed_slope_roots():
@@ -536,14 +539,15 @@ def test_scan_side_is_read_only_and_keyed_by_value(baseline):
     optimize(baseline, SenderDist(1, 1, 3))
     optimize(baseline, SenderDist(1.0, 1.0, 3.0))
     assert _scan_side.cache_info()[:2] == (1, 1)
-    grid, side = _scan_side(SenderDist(1, 1, 3), baseline.q)
-    cached = [grid]
-    for field in side:  # every array the side holds, its masks and index array included
+    grid, points, side, corner = _scan_side(SenderDist(1, 1, 3), baseline.q)
+    cached = [grid, points]
+    for field in side:  # every array the side holds
         cached += field if isinstance(field, tuple) else [field]
     for a in cached:
         assert isinstance(a, np.ndarray)
         with pytest.raises(ValueError):
             a[0] = a[0]
+    assert all(type(m) is float for m in corner)
 
 
 def test_scan_cache_holds_the_design_sweeps_distinct_keys():
@@ -571,3 +575,59 @@ def test_non_finite_scan_is_a_domain_error(zbar):
     # scan's value there is 0 * inf = NaN; no cell is chosen from it.
     with pytest.raises(DomainError, match="the diag value at z = 0.0 is nan"):
         optimize(ModelParams(), SenderDist(1, 1, zbar))
+
+
+def _hex(x) -> str:
+    return float(x).hex()
+
+
+@pytest.mark.parametrize("shape", AGREEMENT_SHAPES)
+def test_scan_corners_are_their_closed_forms(shape, monkeypatch):
+    # No line pass evaluates the grid's ends. At z = 0 both lines are the
+    # pooling corner, pi_p(p, d, 0) = pi_w(p, d, 0, 0).total: A k E[z] E[z^q]
+    # when a = 0 and exactly 0 otherwise. At zbar the edge is pi_s and the
+    # diagonal 0. Each equals its scalar function bit for bit.
+    grids, best = [], optimizer._best
+    monkeypatch.setattr(optimizer, "_best", lambda *lines: grids.append(lines) or best(*lines))
+    rng = np.random.default_rng(29)
+    d = SenderDist(*shape, 3)
+    draws = [random_admissible(rng) for _ in range(4)]
+    for p in (ModelParams(), ModelParams(a=0.0), *draws, *(dataclasses.replace(p, a=0.0)
+                                                           for p in draws[:2])):
+        grids.clear()
+        out = optimize(p, d)
+        (edge, diag), = grids
+        corner = pi_p(p, d, 0.0)
+        assert len(edge) == len(diag) == _GRID
+        assert {_hex(edge[0]), _hex(diag[0]), _hex(pi_w(p, d, 0.0, 0.0).total)} == {_hex(corner)}
+        assert _hex(edge[-1]) == _hex(pi_s(p, d)) == _hex(out.pi_s)
+        assert diag[-1] == 0.0
+        if p.a == 0.0:
+            assert corner == pytest.approx(p.A * p.k * d.mean * d.partial_moment(0.0, p.q))
+        else:
+            assert corner == 0.0
+
+
+def test_breakdowns_hold_floats_in_every_class():
+    # optimize and pi_w price a Pooling, a StrictlyWellBehaved and a
+    # Separating record into Python floats alike.
+    outcomes = [
+        optimize(ModelParams(a=0.0), SenderDist(5, 5, 3)),
+        optimize(ModelParams(), SenderDist(5, 5, 3)),
+        optimize(ModelParams(a=0.6718, q=1.9107, k=1.2349), SenderDist(0.3018, 7.9258, 2.3305)),
+    ]
+    classes = [out.thresholds.eq_class for out in outcomes]
+    assert classes == [POOLING, STRICTLY_WELL_BEHAVED, thresholds.SEPARATING]
+    breakdowns = [out.surplus for out in outcomes]
+    for z_l in (0.0, 0.5):
+        breakdowns += [pi_w(ModelParams(), SenderDist(5, 5, 3), z_l, z_h) for z_h in (z_l, 1.5, 3.0)]
+    for b in breakdowns:
+        assert all(type(x) is float for x in (b.separating_part, b.pooling_part, b.total)), b
+
+
+def test_support_narrower_than_the_scan_is_a_domain_error():
+    # The scan's inner grid points must lie in [EFFECTIVE_ZERO, zbar -
+    # EFFECTIVE_ZERO], where the line passes run, so zbar >= 60 EFFECTIVE_ZERO.
+    with pytest.raises(DomainError, match="outside"):
+        optimize(ModelParams(), SenderDist(1, 1, 5e-5))
+    assert optimize(ModelParams(), SenderDist(1, 1, 1e-4)).surplus.total > 0.0

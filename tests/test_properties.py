@@ -18,10 +18,9 @@ from delegate_opt import (
     solve_top,
 )
 from delegate_opt.distributions import EFFECTIVE_ZERO
-from delegate_opt.surplus import line_pass
 from delegate_opt.thresholds import STRICTLY_WELL_BEHAVED, _pooled_action_rhs, classify, resolve
 
-from conftest import AGREEMENT_SHAPES
+from conftest import AGREEMENT_SHAPES, edge_pass
 
 
 def _floats(lo: float, hi: float) -> st.SearchStrategy[float]:
@@ -138,10 +137,10 @@ def test_kernels_round_alike_in_any_batch():
                     scalar = _pooled_action_rhs(p, *(float(v[i]) for v in (sig, z, ez)))
                     for got in (one, scalar):
                         assert list(map(_bits, got)) == [_bits(k[i]) for k in kernel], (p, d, i)
-                points = np.append(z, [3.0 - 1e-3, 3.0 - 1e-10])
-                full = line_pass(p, d, points)
+                points = np.append(z, [EFFECTIVE_ZERO, 3.0 - 1e-3, 3.0 - EFFECTIVE_ZERO])
+                full = edge_pass(p, d, points)
                 for i in range(points.size):
-                    single = line_pass(p, d, points[i:i + 1])
+                    single = edge_pass(p, d, points[i:i + 1])
                     for field, got, want in zip(full._fields, single, full):
                         got, want = np.asarray(got), np.asarray(want)
                         assert _bits(got[..., 0]) == _bits(want[..., i]), (p, d, i, field)

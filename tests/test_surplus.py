@@ -22,9 +22,10 @@ from delegate_opt import (
 from delegate_opt.distributions import EFFECTIVE_ZERO
 from delegate_opt.quadrature import REL_TOL
 from delegate_opt.thresholds import pooled_action
-from delegate_opt.surplus import LinePass, dist_side, line_pass, pool_part, sep_part
+from delegate_opt.errors import DomainError
+from delegate_opt.surplus import LinePass, dist_side, pool_part, sep_part
 
-from conftest import AGREEMENT_SHAPES, BASELINE_SHAPES, random_admissible
+from conftest import AGREEMENT_SHAPES, BASELINE_SHAPES, edge_pass, random_admissible
 
 
 def uniform_oracle_parts(z_h: float, s_h: float) -> tuple[float, float]:
@@ -274,13 +275,13 @@ class TestWellBehavedGain:
 @pytest.mark.parametrize("shape", AGREEMENT_SHAPES)
 def test_batched_lines_match_scalar(shape):
     # The edge Pi_w(0, z) and the diagonal Pi_p(z) in one line_pass, at
-    # seeded points plus the thin tail near zbar and the top guard, equal
-    # the scalar pi_w and pi_p bit for bit.
+    # seeded points plus the thin tail near zbar, equal the scalar pi_w and
+    # pi_p bit for bit.
     rng = np.random.default_rng(5)
     d = SenderDist(*shape, 3)
-    z = np.append(rng.uniform(EFFECTIVE_ZERO, 3.0, 25), [3.0 - 1e-3, 3.0 - 1e-10])
+    z = np.append(rng.uniform(EFFECTIVE_ZERO, 3.0, 25), [3.0 - 1e-3])
     for p in (ModelParams(), random_admissible(rng), random_admissible(rng)):
-        lines = line_pass(p, d, z)
+        lines = edge_pass(p, d, z)
         edge, diag = lines.edge[0], lines.diag[0]
         want = [
             [pi_w(p, d, 0.0, float(zi)).total for zi in z],
@@ -290,44 +291,49 @@ def test_batched_lines_match_scalar(shape):
 
 
 def test_line_pass_evaluates_both_lines_at_every_point():
-    # Both lines are finite from z = 0 up to the top guard; below
-    # EFFECTIVE_ZERO the edge is the pooling corner, the diagonal's value
-    # and slope, as classify snaps it.
+    # Both lines are finite and apart across [EFFECTIVE_ZERO, zbar -
+    # EFFECTIVE_ZERO], both ends included, where the edge solves its top
+    # system.
     d, p = SenderDist(2, 0.5, 3), ModelParams(a=0.3, q=1.4)
-    z = np.array([0.0, 0.5 * EFFECTIVE_ZERO, EFFECTIVE_ZERO, 0.4, 2.1, 3.0 - 1e-6, 3.0 - 1e-10,
-                  3.0])
-    lines = line_pass(p, d, z)
+    z = np.array([EFFECTIVE_ZERO, 0.4, 2.1, 3.0 - EFFECTIVE_ZERO])
+    lines = edge_pass(p, d, z)
     assert np.isfinite(lines.edge).all() and np.isfinite(lines.diag).all()
-    low = z < EFFECTIVE_ZERO
-    for edge, diag in zip(lines.edge, lines.diag):
-        np.testing.assert_array_equal(edge[low], diag[low])
-    assert (lines.edge[0][~low] != lines.diag[0][~low]).all()
+    assert np.isfinite(lines.sig).all() and np.isfinite(lines.s_h).all()
+    assert (lines.edge[0] != lines.diag[0]).all()
+
+
+@pytest.mark.parametrize("z", [0.0, 0.5 * EFFECTIVE_ZERO, 3.0 - 1e-7, 3.0 - 1e-10, 3.0, math.nan])
+def test_line_pass_outside_the_interior_is_a_domain_error(z):
+    # The corners are closed forms that optimize prices itself; a pass takes
+    # no point outside [EFFECTIVE_ZERO, zbar - EFFECTIVE_ZERO], not even
+    # among points inside it.
+    d = SenderDist(2, 0.5, 3)
+    with pytest.raises(DomainError, match="outside"):
+        edge_pass(ModelParams(), d, [1.0, z, 2.0])
 
 
 def _arrays(fields) -> list:
     """The arrays of a LinePass or DistSide, its tuples flattened."""
-    return [a for f in fields for a in (f if isinstance(f, tuple) else (f,)) if a is not None]
+    return [a for f in fields for a in (f if isinstance(f, tuple) else (f,))]
 
 
 @pytest.mark.parametrize("shape", AGREEMENT_SHAPES)
 def test_one_dist_side_serves_every_params_of_its_q(shape):
     # A pass on a shared read-only side equals a pass that builds its own,
     # bit for bit in every field, for several parameters with the side's q:
-    # at the ends and in the thin tail, and with no end point, as a
-    # refinement round has none.
+    # at both ends of the interior and in the thin tail.
     rng = np.random.default_rng(17)
     d = SenderDist(*shape, 3)
-    ends = [0.0, 0.5 * EFFECTIVE_ZERO, EFFECTIVE_ZERO, 3.0 - 1e-6, 3.0 - 1e-10, 3.0]
+    ends = [EFFECTIVE_ZERO, 3.0 - EFFECTIVE_ZERO]
     thin = [3.0 - 1e-3, 3.0 - 1e-4, 3.0 - 1e-5]
     inner = np.array([EFFECTIVE_ZERO, 1.3, *thin])
     for z in (np.append(rng.uniform(EFFECTIVE_ZERO, 3.0, 20), ends + thin), inner):
         for q in (1.0, float(rng.uniform(0.0, 2.0))):
             side = dist_side(d, q, z)
-            assert (side.at is None) == (z is inner)
             for a in _arrays(side):
                 a.flags.writeable = False
             for p in (ModelParams(q=q), *(replace(random_admissible(rng), q=q) for _ in range(2))):
-                shared, own = line_pass(p, d, z, side=side), line_pass(p, d, z)
+                shared, own = edge_pass(p, d, z, side=side), edge_pass(p, d, z)
                 for field, x, y in zip(LinePass._fields, shared, own):
                     x, y = _arrays([x]), _arrays([y])
                     assert [a.tobytes() for a in x] == [b.tobytes() for b in y], (p, field)
@@ -372,8 +378,8 @@ def test_line_slopes_match_central_differences(params, shape):
     z = d.zbar * np.linspace(0.01, 0.99, 50)
     h = 1e-4 * np.minimum(z, d.zbar - z)
     for line in ("edge", "diag"):
-        _, slope = getattr(line_pass(params, d, z), line)
-        up, down = (getattr(line_pass(params, d, x), line)[0] for x in (z + h, z - h))
+        _, slope = getattr(edge_pass(params, d, z), line)
+        up, down = (getattr(edge_pass(params, d, x), line)[0] for x in (z + h, z - h))
         np.testing.assert_allclose(
             slope, (up - down) / (2.0 * h), rtol=1e-5, atol=1e-7, err_msg=line
         )
