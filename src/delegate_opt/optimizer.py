@@ -10,20 +10,23 @@ Those points and their distribution side (``surplus.dist_side``, every term
 of the pass that depends on (d, q) and the points alone) come from a cache of
 256 such keys, so the scan evaluates only what depends on p; a scan with a
 value that is not finite is a DomainError. Stage two solves for a root of
-each line's slope in the scan points around its best cell, both lines in
-lockstep, one pass per round, from the root of the quintic Hermite fit of
-those points' values and slopes; a root replaces the current optimum
-whenever its value is higher, the grid best's own line first. The returned
-record is built (unless Pooling or Separating) and priced from the pass that
-evaluated its point, or from a corner's closed forms. No stage calls
-adaptive quadrature, and reruns reproduce a result bitwise.
+each line's slope in the scan points around its best cell, from the root
+of the quintic Hermite fit of those points' values and slopes: one loop
+(``_search``) runs both lines, one pass per round, and every point carries
+the pass that priced it. A root replaces the current optimum whenever its
+value is higher, the grid best's own line first. The returned record is
+built (unless Pooling or Separating) and priced from its point's pass, or
+from a corner's closed forms. No stage calls adaptive quadrature, and
+reruns reproduce a result bitwise.
 """
 
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass, field
 from functools import lru_cache
+from operator import itemgetter
 
 import numpy as np
 
@@ -68,11 +71,12 @@ def _best(edge: list, diag: list) -> tuple[int, int, float, bool, bool]:
 
 def _iqi(z, s) -> float:
     """Root of the quadratic z(s) through three points (Brent's inverse
-    quadratic interpolation); NaN unless the three slopes are distinct."""
-    if len(set(s)) < 3:
+    quadratic interpolation); NaN unless each product of slope differences
+    is a normal float, which the slopes' being distinct does not ensure."""
+    den = [(s[i] - s[i - 1]) * (s[i] - s[i - 2]) for i in range(3)]
+    if not all(sys.float_info.min <= abs(x) < math.inf for x in den):
         return math.nan
-    return sum(z[i] * s[i - 1] * s[i - 2] / ((s[i] - s[i - 1]) * (s[i] - s[i - 2]))
-               for i in range(3))
+    return sum(z[i] * s[i - 1] * s[i - 2] / den[i] for i in range(3))
 
 
 def _hermite(z, f, s) -> float:
@@ -103,70 +107,63 @@ def _hermite(z, f, s) -> float:
     return z1 + h * t_new
 
 
-def _root_search(z: list, f: list, s: list, tol: float):
-    """Bracketed root of a line's slope: a generator that yields each round's
-    points and is sent back their (values, slopes), all lists of floats.
+def _search(starts: dict, evaluate, tol: float) -> tuple[dict, int]:
+    """Bracketed roots of the lines' slopes, all lines in lockstep: one
+    ``evaluate(points)`` per round prices every live line's points and
+    returns each line's (values, slopes) arrays under its name.
 
-    ``z``, ``f``, ``s`` hold the line's best grid cell and its neighbours,
-    a grid end replaced by its probe inside [EFFECTIVE_ZERO,
-    zbar - EFFECTIVE_ZERO], where ``classify`` snaps. The bracket is the cell
-    the best cell's slope points into. A round evaluates v and v -/+ tol/2;
-    a sign change of the slope across them ends the search on their best
-    point. The first v is the Hermite seed (``_hermite``), or next to a probe
-    or at a repeated grid end the root of the quadratic z(s) through the
-    three slopes; each later v that through the outer two and the far end
-    (Brent 1973). Outside the bracket, regula falsi, or bisection (in log z
-    past a factor 4) if the last round did not halve it. Returns (z, value,
-    slope, root); with no sign change across the bracket, its better end
-    (root False).
+    ``starts`` maps each line to its best grid cell and the cell's
+    neighbours (a grid end replaced by its probe, where ``classify``
+    snaps). A point is (z, value, slope, pass, index): the evaluation that
+    priced it and its index there. The bracket is the cell the best cell's
+    slope points into. A round evaluates v and v -/+ tol/2, and a sign
+    change of the slope across them ends the line on their best point. The
+    first v is ``_hermite``'s, or ``_iqi``'s through the three slopes where
+    the nodes are not equally spaced; each later v is ``_iqi``'s through the
+    outer two and the far end (Brent 1973). Outside the bracket, regula
+    falsi, or bisection (in log z past a factor 4) if the last round did
+    not halve it. A bracket no wider than tol, or (root False) one with no
+    sign change, ends the line on its better end. Returns each line's
+    (*point, root), in the order of ``starts``, and the points evaluated.
     """
-    k = 1 if s[1] > 0.0 else 0
-    lo, hi = (z[k], f[k], s[k]), (z[k + 1], f[k + 1], s[k + 1])
-    if not lo[2] > 0.0 > hi[2]:
-        return (*max((lo, hi), key=lambda pt: pt[1]), False)
-    v, last = _hermite(z, f, s), math.inf
-    v = _iqi(z, s) if math.isnan(v) else v
-    while hi[0] - lo[0] > tol:
-        (a, _, sa), (b, _, sb) = lo, hi
-        if not a < v < b:
-            # A slope singular at EFFECTIVE_ZERO stalls regula falsi: bisect in log z.
-            v = a - sa * (b - a) / (sb - sa) if b - a <= 0.5 * last else (
-                math.sqrt(a * b) if b > 4.0 * a else 0.5 * (a + b))
-        last = b - a
-        x = [min(max(v - 0.5 * tol, a), b - tol) + tol * c for c in (0.0, 0.5, 1.0)]
-        fx, sx = yield x
-        stencil = list(zip(x, fx, sx))
-        if sx[0] >= 0.0 >= sx[-1]:
-            return (*max(stencil, key=lambda pt: pt[1]), True)
-        lo, hi, far = (stencil[-1], hi, hi) if sx[-1] > 0.0 else (lo, stencil[0], lo)
-        v = _iqi((x[0], x[-1], far[0]), (sx[0], sx[-1], far[2]))
-    return (*max((lo, hi), key=lambda pt: pt[1]), True)
-
-
-def _refine(path: SeparatingPath, d: SenderDist, searches: dict, where: dict) -> tuple[dict, int]:
-    """Run one search per line in lockstep, each round in one ``line_pass``
-    on the edge ``path`` at all the round's points, of which each line reads
-    its own; ``where`` gets the pass and index of each (line, point).
-    Returns the results and the points used."""
-    results, replies, n_evals = {}, dict.fromkeys(searches), 0
+    results, live, n_evals = dict.fromkeys(starts), {}, 0
+    for line, cell in starts.items():
+        z, f, s, *_ = zip(*cell)
+        lo, hi = cell[1:] if s[1] > 0.0 else cell[:2]
+        if lo[2] > 0.0 > hi[2]:
+            v = _hermite(z, f, s)
+            live[line] = [lo, hi, _iqi(z, s) if math.isnan(v) else v, math.inf]
+        else:
+            results[line] = (*max((lo, hi), key=itemgetter(1)), False)
     for _ in range(100):
-        spans, points = {}, []
-        for line, search in searches.items():
-            if line not in results:
-                try:
-                    x = search.send(replies[line])
-                except StopIteration as stop:
-                    results[line] = stop.value
-                    continue
-                spans[line] = slice(len(points), len(points) + len(x))
-                points += x
-        if not points:
+        for line, (lo, hi, _, _) in list(live.items()):
+            if hi[0] - lo[0] <= tol:
+                results[line] = (*max((lo, hi), key=itemgetter(1)), True)
+                del live[line]
+        if not live:
             return results, n_evals
-        lp = sp.line_pass(path, d, points)
-        for line, span in spans.items():
-            replies[line] = tuple(f[span].tolist() for f in getattr(lp, line))
-            where.update(((line, points[i]), (lp, i)) for i in range(len(points))[span])
+        points = []
+        for state in live.values():
+            (a, _, sa, *_), (b, _, sb, *_), v, last = state
+            if not a < v < b:
+                # A slope singular at EFFECTIVE_ZERO stalls regula falsi: bisect in log z.
+                v = a - sa * (b - a) / (sb - sa) if b - a <= 0.5 * last else (
+                    math.sqrt(a * b) if b > 4.0 * a else 0.5 * (a + b))
+            state[3] = b - a
+            points += [min(max(v - 0.5 * tol, a), b - tol) + tol * c for c in (0.0, 0.5, 1.0)]
+        lp = evaluate(points)
         n_evals += len(points)
+        for i, (line, state) in zip(range(0, len(points), 3), list(live.items())):
+            lo, hi = state[:2]
+            x = points[i:i + 3]
+            fx, sx = (a[i:i + 3].tolist() for a in getattr(lp, line))
+            stencil = list(zip(x, fx, sx, (lp,) * 3, range(i, i + 3)))
+            if sx[0] >= 0.0 >= sx[-1]:
+                results[line] = (*max(stencil, key=itemgetter(1)), True)
+                del live[line]
+            else:
+                lo, hi, far = (stencil[-1], hi, hi) if sx[-1] > 0.0 else (lo, stencil[0], lo)
+                state[:3] = lo, hi, _iqi((x[0], x[-1], far[0]), (sx[0], sx[-1], far[2]))
     raise ConvergenceError("refinement did not bracket a root of the slope")
 
 
@@ -205,26 +202,23 @@ def optimize(p: ModelParams, d: SenderDist) -> DelegationOutcome:
         raise DomainError(f"the scan of {d} is not finite: the {name} value at z = {z} is {v}")
     gi, gj, g_val, tie_break, flat = _best(lines["edge"][0], lines["diag"][0])
     line = "diag" if gi == gj else "edge"
-    z_h, val, at = zs[gj], g_val, (scan, gj)
-    slope = lines[line][1][gj]
-    searches, where = {}, {}
+    z_h, val, slope, lp, i = zs[gj], g_val, lines[line][1][gj], scan, gj
+    starts = {}
     for name in sorted(_LINES, key=lambda name: name != line):
-        values = lines[name][0]
+        values, (f, s) = lines[name][0], scanned[name]
         # The line's best cell, past the corner on the edge: the larger z on ties.
         first = int(name == "edge")
         top = max(values[first:])
-        c = next(i for i in range(_GRID - 1, -1, -1) if values[i] >= top - _TIE_TOL)
-        k = (max(c - 1, 0), c, min(c + 1, _GRID - 1))
-        searches[name] = _root_search(*([a[i] for i in k] for a in (pts, *scanned[name])), _TOL)
-        where.update(((name, pts[i]), (scan, i)) for i in k)
-    results, refine_evals = _refine(path, d, searches, where)
+        c = next(j for j in range(_GRID - 1, -1, -1) if values[j] >= top - _TIE_TOL)
+        starts[name] = [(pts[j], f[j], s[j], scan, j)
+                        for j in (max(c - 1, 0), c, min(c + 1, _GRID - 1))]
+    results, refine_evals = _search(starts, lambda points: sp.line_pass(path, d, points), _TOL)
     # The tie tolerance guards only points that are not roots, such as
     # the exact pooling corner against the line's end EFFECTIVE_ZERO away.
-    for name in searches:
-        z, v, s, root = results[name]
-        if v > val + (0.0 if root else _TIE_TOL):
-            line, z_h, val, slope, at = name, z, v, s, where[name, z]
-    z_l, (lp, i) = z_h if line == "diag" else 0.0, at
+    for name, (*point, root) in results.items():
+        if point[1] > val + (0.0 if root else _TIE_TOL):
+            line, (z_h, val, slope, lp, i) = name, point
+    z_l = z_h if line == "diag" else 0.0
     if th.classify(z_l, z_h, d.zbar) == th.STRICTLY_WELL_BEHAVED:
         # An edge point (z_l = 0): the pass that evaluated it solved its top system.
         s_h, sig, ez = (float(a[i]) for a in (lp.s_h, lp.sig, lp.moments[0]))

@@ -122,10 +122,13 @@ def pool_part(
     """Net surplus of the pooled tail, given the pooled action s_h.
 
     The 1/z integral is cut at EFFECTIVE_ZERO, so with s_h = 0 the cost term
-    is exactly zero, which covers the degenerate pooling-at-zero case where
-    the raw integral would diverge. Zero within the top guard of zbar.
+    is zero in the degenerate pooling-at-zero case, unless the cut integral's
+    closed form is not finite (zbar = 3e7 on a uniform density): then the
+    term is 0 * inf, a DomainError. Zero within the top guard of zbar.
     """
     ez, pm_q, pm_inv, _ = d.tail_moments(z_h, p.q)
+    if not np.isfinite(pm_inv).all():
+        raise DomainError(f"the 1/z tail moment of {d} at z = {z_h} is not finite")
     out = np.where(
         np.asarray(z_h) >= d.zbar - _TOP_GUARD,
         0.0,
@@ -139,10 +142,12 @@ def surplus_from(
 ) -> SurplusBreakdown:
     """The breakdown of rec, in Python floats, from its separating part (0
     when Pooling) and ``tail_moments`` at rec.z_h; the pooled part is
-    ``pool_part``'s."""
+    ``pool_part``'s, and so is its DomainError."""
     sep, pool = float(sep), 0.0
     if rec.z_h < d.zbar - _TOP_GUARD:
         ez, pm_q, pm_inv = moments[:3]
+        if not math.isfinite(pm_inv):
+            raise DomainError(f"the 1/z tail moment of {d} at z = {rec.z_h} is not finite")
         pool = float(_pooled_net(p, _lead(p, rec.s_h) * ez, rec.s_h, pm_q, pm_inv))
     return SurplusBreakdown(sep, pool, sep + pool, rec.z_l, rec.z_h)
 

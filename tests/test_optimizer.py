@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import dataclasses
 from collections import Counter
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -15,7 +16,7 @@ from delegate_opt.errors import ConvergenceError, DomainError
 from delegate_opt.distributions import EFFECTIVE_ZERO
 from delegate_opt.harness import load_golden, run_config, run_design
 from delegate_opt.optimizer import (
-    _GRID, _TOL, _hermite, _iqi, _root_search, _scan_side,
+    _GRID, _TOL, _hermite, _iqi, _scan_side, _search,
 )
 from delegate_opt.surplus import sep_part
 from delegate_opt import thresholds
@@ -307,13 +308,31 @@ def test_hermite_seed_falls_back_on_unequal_nodes(z, shift):
     assert np.isnan(_hermite(z, f(z) + shift, s(z)))
 
 
+def _cell(z, f, s) -> list:
+    # A line's start for _search: three (z, value, slope, pass, index) points.
+    return [(float(x), float(f(x)), float(s(x)), None, j) for j, x in enumerate(z)]
+
+
+def _evaluator(rounds: list, **lines):
+    # A synthetic evaluate: each line's (values, slopes) arrays at the
+    # round's points from its (f, s); each round's points go to rounds.
+    def evaluate(points):
+        rounds.append(points)
+        x = np.array(points)
+        return SimpleNamespace(**{name: (f(x), s(x)) for name, (f, s) in lines.items()})
+
+    return evaluate
+
+
 def test_root_search_seeds_from_the_slopes_on_unequal_nodes():
     # Without the Hermite seed the first v is _iqi's, inside the bracket.
     f, s = _quintic(1.03)
     z = np.array([0.9, 1.0, 1.2])
     v = _iqi(z, s(z))
     assert 1.0 < v < 1.2
-    assert next(_root_search(z, f(z), s(z), 1e-6))[1] == pytest.approx(v, abs=1e-15)
+    rounds = []
+    _search({"edge": _cell(z, f, s)}, _evaluator(rounds, edge=(f, s)), 1e-6)
+    assert rounds[0][1] == pytest.approx(v, abs=1e-15)
 
 
 @pytest.mark.parametrize("first", [True, False])
@@ -321,21 +340,28 @@ def test_root_search_from_a_grid_end(first):
     # The best cell at index 0 or n - 1: the nodes repeat, and a grid end is
     # its probe EFFECTIVE_ZERO inside, with the probe's slope. The search
     # seeds without the Hermite fit and still brackets r in one round. It
-    # takes and yields lists of floats.
+    # evaluates lists of floats, and the returned point carries the pass
+    # that priced it and its index there.
     f, s = _quintic(0.01 if first else 0.99)
     k = [0, 0, 1] if first else [59, 60, 60]
     z = np.clip(np.linspace(0.0, 1.0, 61)[k], EFFECTIVE_ZERO, 1.0 - EFFECTIVE_ZERO)
     assert np.isnan(_hermite(z, f(z), s(z)))
-    search = _root_search(z.tolist(), f(z).tolist(), s(z).tolist(), 1e-6)
-    x, rounds = next(search), 1
-    assert len(x) == 3
-    try:
-        while True:
-            x, rounds = search.send((f(x).tolist(), s(x).tolist())), rounds + 1
-    except StopIteration as stop:
-        z_root, _, slope, root = stop.value
-    assert root and rounds == 1
+    rounds = []
+    results, n_evals = _search({"edge": _cell(z, f, s)}, _evaluator(rounds, edge=(f, s)), 1e-6)
+    z_root, value, slope, lp, i, root = results["edge"]
+    assert [type(x) for x in rounds[0]] == [float] * 3
+    assert root and len(rounds) == 1 and n_evals == 3
+    assert (lp.edge[0][i], lp.edge[1][i], rounds[0][i]) == (value, slope, z_root)
     assert abs(slope) <= 1e-5 and s(z_root - 1e-6) > 0.0 > s(z_root + 1e-6)
+
+
+# A flat line whose slope steps from 1 to -1 at 2e-4 below its cell's top.
+_STEP_ROOT = 1.0 - 2e-4
+_STEP_CELL = [(0.9, 0.0, 1.0, None, 0), (0.95, 0.0, 1.0, None, 1), (1.0, 0.0, -1.0, None, 2)]
+
+
+def _step_slope(x):
+    return np.where(np.asarray(x) < _STEP_ROOT, 1.0, -1.0)
 
 
 def test_root_search_ends_when_the_bracket_narrows_below_tol():
@@ -343,18 +369,63 @@ def test_root_search_ends_when_the_bracket_narrows_below_tol():
     # below it, so no round sees the sign change, and the search ends on the
     # bracket once it is narrower than tol, at the better end (the lower on a
     # tie), within tol of the root.
-    root, tol = 1.0 - 2e-4, 1e-3
-    search = _root_search([0.9, 0.95, 1.0], [0.0, 0.0, 0.0], [1.0, 1.0, -1.0], tol)
-    x, rounds = next(search), 1
-    try:
-        while True:
-            assert not x[0] < root < x[-1]
-            slopes = [1.0 if v < root else -1.0 for v in x]
-            x, rounds = search.send(([0.0] * 3, slopes)), rounds + 1
-    except StopIteration as stop:
-        z, value, slope, found = stop.value
-    assert rounds == 5 and found and (value, slope) == (0.0, 1.0)
+    root, tol = _STEP_ROOT, 1e-3
+    rounds = []
+
+    def evaluate(x):
+        assert not x[0] < root < x[-1]
+        rounds.append(x)
+        return SimpleNamespace(edge=(np.zeros(3), _step_slope(x)))
+
+    results, n_evals = _search({"edge": _STEP_CELL}, evaluate, tol)
+    z, value, slope, _, _, found = results["edge"]
+    assert len(rounds) == 5 and n_evals == 15 and found and (value, slope) == (0.0, 1.0)
     assert 0.95 < z < 1.0 and abs(z - root) <= tol
+
+
+def _check_lines_run_as_if_alone(starts: dict, evaluate, tol: float, columns) -> int:
+    # Each line searched alone and all together: equal results bit for bit,
+    # the pass's columns (columns(lp)) at each result's index included, and
+    # each together round the alone rounds' points in the order of starts.
+    # Returns the number of rounds together.
+    def run(starts):
+        rounds = []
+        results, n_evals = _search(starts, lambda x: rounds.append(x) or evaluate(x), tol)
+        return results, n_evals, rounds
+
+    def point(line, z, value, slope, lp, i, root):
+        return z, value, slope, root, *(float(a[i]) for a in (*columns(lp), *getattr(lp, line)))
+
+    together, n_evals, rounds = run(starts)
+    alone = {line: run({line: cell}) for line, cell in starts.items()}
+    for line, (results, _, _) in alone.items():
+        assert point(line, *results[line]) == point(line, *together[line])
+    runs = [r for _, _, r in alone.values()]
+    assert rounds == [sum((r[k] for r in runs if k < len(r)), [])
+                      for k in range(max(map(len, runs)))]
+    assert n_evals == sum(n for _, n, _ in alone.values())
+    return len(rounds)
+
+
+def test_search_runs_each_line_as_if_alone(monkeypatch):
+    # A line's result, its rounds and the points it evaluates do not depend
+    # on the other line's search sharing its passes. Checked on every design
+    # row (no round on the 31 pooling-corner rows), with optimize's own
+    # starts and line passes (the record reads moments, sep, sig and s_h from
+    # the pass), and on two synthetic lines of 5 rounds and 1, in either order.
+    searches, search = [], optimizer._search
+    monkeypatch.setattr(optimizer, "_search", lambda *args: searches.append(args) or search(*args))
+    for g in load_golden():
+        optimize(ModelParams(a=g.a, k=g.k, q=g.q), SenderDist(g.alpha, g.beta_shape, g.zbar))
+    rows = [_check_lines_run_as_if_alone(*args, lambda lp: (*lp.moments, lp.sep, lp.sig, lp.s_h))
+            for args in searches]
+    assert Counter(rows) == {0: 31, 1: 275, 2: 5}
+
+    f, s = _quintic(1.03)
+    quintic = _cell([0.9, 1.0, 1.2], f, s)
+    evaluate = _evaluator([], edge=(f, s), diag=(np.zeros_like, _step_slope))
+    for starts in ({"diag": _STEP_CELL, "edge": quintic}, {"edge": quintic, "diag": _STEP_CELL}):
+        assert _check_lines_run_as_if_alone(starts, evaluate, 1e-3, lambda lp: ()) == 5
 
 
 def test_root_search_bisects_in_log_z_near_effective_zero():

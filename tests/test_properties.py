@@ -3,7 +3,10 @@ admissible box."""
 
 from __future__ import annotations
 
+import warnings
+
 import numpy as np
+import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
@@ -47,6 +50,23 @@ def test_optimize_meets_invariants(
     p = ModelParams(A=A, beta_cost=beta_cost, a=a, k=k, q=q)
     d = SenderDist(alpha, beta_shape, zbar)
     out = optimize(p, d)
+    rec = out.thresholds
+    assert rec.z_l <= rec.z_h
+    assert rec.t_l <= rec.t_h
+    assert out.surplus.total >= pi_s(p, d) - 1e-8
+    assert out.diagnostics["certificate"] >= -1e-8
+
+
+@pytest.mark.parametrize("a", [0.5, 0.99, 0.999, 0.9999])
+def test_slopes_whose_differences_underflow_solve(a):
+    # q = 20 on a (50, 50) Beta: next to zbar the slopes are about -3e-275
+    # and -1e-290, so the inverse quadratic step's products of slope
+    # differences underflow to 0; the search falls back to regula falsi or
+    # bisection, with no warning, and the result meets the invariants above.
+    p, d = ModelParams(a=a, q=20.0), SenderDist(50, 50, 3)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        out = optimize(p, d)
     rec = out.thresholds
     assert rec.z_l <= rec.z_h
     assert rec.t_l <= rec.t_h

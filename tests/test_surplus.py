@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import math
+import warnings
 from dataclasses import replace
 
 import mpmath
@@ -394,3 +395,17 @@ def test_pool_part_zero_action_has_no_cost(uniform3):
     )
     # a > 0: a zero action produces nothing at all.
     assert pool_part(ModelParams(), uniform3, 0.0, 0.0) == 0.0
+
+
+@pytest.mark.parametrize("zbar", [3e7, 1e8])
+def test_non_finite_inverse_moment_is_a_domain_error(zbar):
+    # On a support this wide the closed form of the 1/z tail moment from
+    # EFFECTIVE_ZERO is inf, and the zero pooled action's cost term would be
+    # 0 * inf; both entry points raise before that product, with no warning.
+    p, d = ModelParams(), SenderDist(1, 1, zbar)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        with pytest.raises(DomainError, match="1/z tail moment .* at z = 0.0 is not finite"):
+            pi_p(p, d, 0.0)
+        with pytest.raises(DomainError, match="1/z tail moment .* at z = 0.0 is not finite"):
+            pi_w(p, d, 0.0, 0.0)
